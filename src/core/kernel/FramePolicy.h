@@ -276,6 +276,24 @@ private:
     // does the bookkeeping on its own frame.
   }
 
+  /// Fake-path counters of one check-version subtree: a stack local that
+  /// checkBody threads by reference through the per-node recursion (as
+  /// detail::seqBodyImpl does with its node count), so the hot loop never
+  /// writes the worker's Stats cache line. Flushed into Stats at
+  /// checkBody exit and, in the cold paths, before anything may read
+  /// Stats: the reseed branch's metric publish and tune step, and the
+  /// special-task sync wait.
+  struct CheckCounts {
+    std::uint64_t FakeTasks = 0;
+    std::uint64_t Polls = 0;
+
+    void flushTo(SchedulerStats &Stats) {
+      Stats.FakeTasks += FakeTasks;
+      Stats.Polls += Polls;
+      FakeTasks = Polls = 0;
+    }
+  };
+
   /// Figure 2 dispatch with the online tuning layer folded in: a tuned
   /// worker re-reads its controller's live cut-off depth on every child
   /// (TcPol is an int-sized wrapper, so constructing one per dispatch is
@@ -295,7 +313,7 @@ private:
   ExecResult<Result> taskBody(Worker &W, State &S, int Depth, Frame *Parent,
                               int Dp, CodeVersion Cur, bool OwnsState);
   Result checkBody(Worker &W, State &S, int Depth);
-  Result checkBodyImpl(Worker &W, State &S, int Depth);
+  Result checkBodyImpl(Worker &W, State &S, int Depth, CheckCounts &C);
   Result seqBody(Worker &W, State &S, int Depth);
   void runContinuation(Worker &W, Frame *F);
 
@@ -530,38 +548,39 @@ FramePolicy<P, DequeT, TcPol>::taskBody(Worker &W, State &S, int Depth,
 template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
 typename P::Result
 FramePolicy<P, DequeT, TcPol>::checkBody(Worker &W, State &S, int Depth) {
-  // Metrics mirror of the spawn-fake trace dedup below: the Check mode
-  // span is opened once per fake-task *subtree* (this entry point is
-  // only reached from non-check callers), never per node. A per-node
-  // RAII scope would put two out-of-line calls (ctor + dtor) on the
-  // hottest recursion in the scheduler even with metrics disarmed;
-  // hoisting it here keeps checkBodyImpl's per-node metrics cost at
-  // zero. setMode de-dupes, so nested taskBody spans restore correctly.
+  // The per-subtree entry of the check version (only reached from
+  // non-check callers) holds all of the fake path's observability work,
+  // so the per-node recursion in checkBodyImpl does none: even a disarmed
+  // site there is a measurable share of a fake node's cost. The Check
+  // mode spans (trace and metrics) open here once per fake-task subtree,
+  // the one spawn-fake event is emitted here (per-node events would drown
+  // the ring; SchedulerStats::FakeTasks has the exact count), and the
+  // node and poll counts accumulate in a local flushed on exit. setMode
+  // de-dupes, so nested taskBody spans restore Check on return.
   MetricsModeScope MetricsSpan(W.Metrics, TraceMode::Check);
-  return checkBodyImpl(W, S, Depth);
-}
-
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-typename P::Result
-FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth) {
-  ++W.Stats.FakeTasks;
 #if ATC_TRACE_ENABLED
-  // One spawn-fake per fake-task *subtree* (entry from a non-check
-  // mode), not per node — per-node volume would drown the ring in
-  // events carrying no extra information (SchedulerStats::FakeTasks has
-  // the exact count). The mode scope then spans the whole subtree.
   if (ATC_UNLIKELY(W.Trace != nullptr) &&
       W.Trace->mode() != TraceMode::Check)
     W.Trace->emit(TraceEventKind::SpawnFake, 0,
                   static_cast<std::uint16_t>(Depth));
 #endif
   TraceModeScope TraceSpan(W.Trace, TraceMode::Check);
+  CheckCounts C;
+  Result R = checkBodyImpl(W, S, Depth, C);
+  C.flushTo(W.Stats);
+  return R;
+}
+
+template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+typename P::Result
+FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth,
+                                             CheckCounts &C) {
+  ++C.FakeTasks;
   if (Prob.isLeaf(S, Depth))
     return Prob.leafResult(S, Depth);
 
   Frame *SF = nullptr; // special task frame, created on demand
   bool StolenFlag = false;
-  std::uint64_t NPolls = 0; // batched; flushed after the loop
   Result Acc{};
   const int N = Prob.numChoices(S, Depth);
   for (int K = 0; K < N; ++K) {
@@ -569,13 +588,13 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth) {
       continue;
 
     // The check version's edge of Figure 2: one need_task poll per child.
-    ++NPolls;
+    ++C.Polls;
     const FsmTransition T =
         Tc.child(CodeVersion::Check, /*Dp=*/0,
                  W.NeedTask.load(std::memory_order_relaxed));
     if (ATC_LIKELY(!T.SpawnTask)) {
       // No idle thread waiting: stay a fake task (in-place workspace).
-      Acc += checkBodyImpl(W, S, Depth + 1);
+      Acc += checkBodyImpl(W, S, Depth + 1, C);
       Prob.undoChoice(S, Depth, K);
       continue;
     }
@@ -614,7 +633,10 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth) {
     // Reseed cadence (interval between special-task publishes) and a
     // mirror flush — this branch is the busy owner's cold publication
     // point, so its cell stays fresh for live dashboards without the hot
-    // fake-task loop ever touching the cell.
+    // fake-task loop ever touching the cell. The subtree's pending fake
+    // counts go into Stats first, so the cell and the controller see
+    // exact FakeTasks and Polls.
+    C.flushTo(W.Stats);
     ATC_METRIC(W.Metrics, recordReseed(nowNanos()));
     ATC_METRIC(W.Metrics, publishStats(W.Stats));
     // Owner-side tune opportunity: the reseed it just recorded is exactly
@@ -649,14 +671,15 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth) {
       Acc += R.Value; // else: arrives through SF->Deposits
     Prob.undoChoice(S, Depth, K);
   }
-  W.Stats.Polls += NPolls;
 
   if (SF) {
     if (StolenFlag) {
       // sync_specialtask: a special task cannot be suspended, so the
       // owner must stay here until its detached children complete. The
       // kernel's help-first wait steals and runs other tasks meanwhile
-      // (see WorkerRuntime::helpWhile).
+      // (see WorkerRuntime::helpWhile). Work run meanwhile may publish
+      // Stats, so the pending fake counts go in first.
+      C.flushTo(W.Stats);
       std::uint64_t T0 = nowNanos();
       ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialSyncBegin, 0,
                       static_cast<std::uint16_t>(Depth));

@@ -21,6 +21,7 @@
 #include "metrics/Quantile.h"
 #include "problems/NQueens.h"
 #include "sim/SimEngine.h"
+#include "sim/SyntheticTreeProblem.h"
 
 #include <gtest/gtest.h>
 
@@ -171,16 +172,9 @@ struct CoherenceCase {
 
 class MetricsCoherence : public ::testing::TestWithParam<CoherenceCase> {};
 
-TEST_P(MetricsCoherence, FinalSnapshotEqualsRunStats) {
-  NQueensArray Prob;
-  auto Root = NQueensArray::makeRoot(8);
-  SchedulerConfig Cfg;
-  Cfg.Kind = GetParam().Kind;
-  Cfg.Deque = GetParam().Deque;
-  Cfg.NumWorkers = 4;
-  Cfg.Metrics = true;
-  RunResult<long long> R = runProblem(Prob, Root, Cfg);
-  EXPECT_EQ(R.Value, 92);
+/// The post-join snapshot of a 4-worker run's registry must reconstruct
+/// its SchedulerStats field for field.
+void expectSnapshotEqualsStats(const RunResult<long long> &R) {
   ASSERT_NE(R.Metrics, nullptr);
   EXPECT_EQ(R.Metrics->numWorkers(), 4);
   EXPECT_EQ(R.Metrics->Meta.Source, "runtime");
@@ -192,6 +186,36 @@ TEST_P(MetricsCoherence, FinalSnapshotEqualsRunStats) {
     EXPECT_EQ(statFieldValue(FromCells, F), statFieldValue(R.Stats, F))
         << statFieldName(F);
   }
+}
+
+TEST_P(MetricsCoherence, FinalSnapshotEqualsRunStats) {
+  NQueensArray Prob;
+  auto Root = NQueensArray::makeRoot(8);
+  SchedulerConfig Cfg;
+  Cfg.Kind = GetParam().Kind;
+  Cfg.Deque = GetParam().Deque;
+  Cfg.NumWorkers = 4;
+  Cfg.Metrics = true;
+  RunResult<long long> R = runProblem(Prob, Root, Cfg);
+  EXPECT_EQ(R.Value, 92);
+  expectSnapshotEqualsStats(R);
+
+  if (Cfg.Kind != SchedulerKind::AdaptiveTC)
+    return;
+  // Second input: an unbalanced tree with need_task raised after one
+  // failed steal, so the check version's reseed branch fires and its
+  // mid-subtree flush of the fake counts is exercised.
+  SyntheticTreeProblem Tree(SimTree::preset("tree3l", 200'000),
+                            /*SpinPerNode=*/20);
+  Cfg.MaxStolenNum = 1;
+  RunResult<long long> T = runProblem(Tree, Tree.makeRoot(), Cfg);
+  EXPECT_EQ(T.Value, Tree.expectedLeaves());
+  EXPECT_GT(T.Stats.SpecialTasks, 0u);
+  // Every node runs exactly once, as a task or as a fake node, so the
+  // flushed fake counts must add up to the tree.
+  EXPECT_EQ(T.Stats.TasksCreated + T.Stats.FakeTasks,
+            static_cast<std::uint64_t>(Tree.tree().spec().TotalNodes));
+  expectSnapshotEqualsStats(T);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -15,7 +15,10 @@
 ///    and max_stolen_num (schedules differ wildly; results may not);
 ///  * the real threaded runtime on the paper's unbalanced trees
 ///    (SyntheticTreeProblem): every scheduler, thread count and tree
-///    shape must agree with the tree's leaf count.
+///    shape must agree with the tree's leaf count;
+///  * the simulator against the runtime at one worker: on the same
+///    seeded tree both must report the same task, fake-node and spawn
+///    counts and the same spawn events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +29,15 @@
 #include "problems/Pentomino.h"
 #include "problems/Strimko.h"
 #include "problems/Sudoku.h"
+#include "sim/SimEngine.h"
 #include "sim/SyntheticTreeProblem.h"
 #include "support/Prng.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
+#include <utility>
 
 using namespace atc;
 
@@ -353,6 +359,108 @@ TEST(UnbalancedTreeRuns, SpinWorkDoesNotChangeResults) {
   EXPECT_EQ(A.Value, B.Value);
   EXPECT_EQ(A.Value, Plain.expectedLeaves());
 }
+
+//===----------------------------------------------------------------------===//
+// Simulator vs runtime at one worker
+//===----------------------------------------------------------------------===//
+
+/// With one worker nothing is ever stolen and need_task is never raised,
+/// so the simulator and the threaded runtime take the same Figure 2 edge
+/// at every node of the same tree. Their task, fake-node and spawn counts
+/// and their spawn events must then agree exactly, up to one fixed
+/// offset: the simulator models the root as a spawned task (one spawn,
+/// one workspace copy, one SpawnReal event), while the runtime runs the
+/// root task in place without pushing or copying it.
+struct SimDiffCase {
+  const char *Preset;
+  SchedulerKind Kind;
+};
+
+/// Prints the case by name, so the listed test names do not carry the
+/// preset pointer's bytes.
+void PrintTo(const SimDiffCase &C, std::ostream *OS) {
+  *OS << C.Preset << ' ' << schedulerKindName(C.Kind);
+}
+
+class SimVsRuntimeOneWorker : public ::testing::TestWithParam<SimDiffCase> {
+};
+
+/// Spawn-fake and spawn-real events across every worker of \p Log.
+std::pair<std::uint64_t, std::uint64_t> countSpawnEvents(const TraceLog &Log) {
+  std::uint64_t Fake = 0, Real = 0;
+  for (int W = 0; W < Log.numWorkers(); ++W) {
+    const TraceBuffer &TB = Log.buffer(W);
+    for (std::size_t I = 0; I < TB.size(); ++I) {
+      Fake += TB.at(I).kind() == TraceEventKind::SpawnFake;
+      Real += TB.at(I).kind() == TraceEventKind::SpawnReal;
+    }
+  }
+  return {Fake, Real};
+}
+
+TEST_P(SimVsRuntimeOneWorker, CountersAndSpawnEventsAgree) {
+  constexpr std::uint64_t RootOffset = 1; // the simulator's root spawn
+  for (std::uint64_t TreeSeed : {0x5EED1u, 0x5EED2u, 0x5EED3u}) {
+    SCOPED_TRACE("tree seed " + std::to_string(TreeSeed));
+    TreeSpec Spec = SimTree::preset(GetParam().Preset, 20'000);
+    Spec.Seed = TreeSeed;
+
+    SimOptions Opts;
+    Opts.Kind = GetParam().Kind;
+    Opts.NumWorkers = 1;
+    TraceLog SimLog(1, 1u << 20);
+    SimReport Sim = simulate(SimTree(Spec), Opts, CostModel(), &SimLog);
+
+    SyntheticTreeProblem Prob(Spec);
+    SchedulerConfig Cfg;
+    Cfg.Kind = GetParam().Kind;
+    Cfg.NumWorkers = 1;
+    Cfg.Trace = true;
+    RunResult<long long> Rt = runProblem(Prob, Prob.makeRoot(), Cfg);
+    ASSERT_EQ(Rt.Value, Prob.expectedLeaves());
+    ASSERT_EQ(Rt.Stats.DequeOverflows, 0u);
+
+    EXPECT_EQ(Rt.Stats.TasksCreated, Sim.TasksCreated);
+    EXPECT_EQ(Rt.Stats.FakeTasks, Sim.FakeNodes);
+    EXPECT_EQ(Rt.Stats.Spawns + RootOffset, Sim.TasksCreated);
+    EXPECT_EQ(Rt.Stats.WorkspaceCopies + RootOffset, Sim.Copies);
+    EXPECT_EQ(Rt.Stats.SpecialTasks, 0u);
+    EXPECT_EQ(Sim.SpecialTasks, 0u);
+
+#if ATC_TRACE_ENABLED
+    ASSERT_NE(Rt.Trace, nullptr);
+    ASSERT_EQ(Rt.Trace->totalDropped(), 0u);
+    ASSERT_EQ(SimLog.totalDropped(), 0u);
+    auto [RtFake, RtReal] = countSpawnEvents(*Rt.Trace);
+    auto [SimFake, SimReal] = countSpawnEvents(SimLog);
+    EXPECT_EQ(RtFake, SimFake);
+    EXPECT_EQ(RtReal + RootOffset, SimReal);
+    // Spawn-fake is once per fake-task subtree entry: AdaptiveTC enters
+    // one at every child of the root task, and never emits more events
+    // than it has fake nodes.
+    if (GetParam().Kind == SchedulerKind::AdaptiveTC) {
+      EXPECT_GT(RtFake, 0u);
+    }
+    EXPECT_LE(RtFake, Rt.Stats.FakeTasks);
+#endif
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TreesBySystem, SimVsRuntimeOneWorker,
+    ::testing::Values(SimDiffCase{"tree3l", SchedulerKind::AdaptiveTC},
+                      SimDiffCase{"tree3r", SchedulerKind::AdaptiveTC},
+                      SimDiffCase{"fig8", SchedulerKind::AdaptiveTC},
+                      SimDiffCase{"tree3l", SchedulerKind::Cutoff},
+                      SimDiffCase{"tree3r", SchedulerKind::Cutoff},
+                      SimDiffCase{"fig8", SchedulerKind::Cutoff},
+                      SimDiffCase{"tree3l", SchedulerKind::Cilk},
+                      SimDiffCase{"tree3r", SchedulerKind::Cilk},
+                      SimDiffCase{"fig8", SchedulerKind::Cilk}),
+    [](const ::testing::TestParamInfo<SimDiffCase> &Info) {
+      return std::string(Info.param.Preset) + "_" +
+             schedulerKindName(Info.param.Kind);
+    });
 
 //===----------------------------------------------------------------------===//
 // Join-protocol stress
