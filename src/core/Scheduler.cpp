@@ -7,10 +7,26 @@
 #include "core/Scheduler.h"
 #include "support/Compiler.h"
 
-#include <algorithm>
 #include <cctype>
 
 using namespace atc;
+
+namespace {
+
+/// Shared name normalization for the option parsers: strip "-"/"_" and
+/// lowercase.
+std::string normalizeKey(const std::string &Name) {
+  std::string Key;
+  Key.reserve(Name.size());
+  for (char C : Name) {
+    if (C == '-' || C == '_')
+      continue;
+    Key += static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
+  }
+  return Key;
+}
+
+} // namespace
 
 const char *atc::schedulerKindName(SchedulerKind Kind) {
   switch (Kind) {
@@ -31,13 +47,7 @@ const char *atc::schedulerKindName(SchedulerKind Kind) {
 }
 
 bool atc::parseSchedulerKind(const std::string &Name, SchedulerKind &Out) {
-  std::string Key;
-  Key.reserve(Name.size());
-  for (char C : Name) {
-    if (C == '-' || C == '_')
-      continue;
-    Key += static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-  }
+  std::string Key = normalizeKey(Name);
   if (Key == "sequential" || Key == "serial" || Key == "seq") {
     Out = SchedulerKind::Sequential;
     return true;
@@ -65,29 +75,10 @@ bool atc::parseSchedulerKind(const std::string &Name, SchedulerKind &Out) {
   return false;
 }
 
-namespace {
-
-/// Shared name normalization for the option parsers: strip "-"/"_" and
-/// lowercase.
-std::string normalizeKey(const std::string &Name) {
-  std::string Key;
-  Key.reserve(Name.size());
-  for (char C : Name) {
-    if (C == '-' || C == '_')
-      continue;
-    Key += static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-  }
-  return Key;
-}
-
-} // namespace
-
 const char *atc::dequeKindName(DequeKind Kind) {
   switch (Kind) {
   case DequeKind::The:
     return "the";
-  case DequeKind::Atomic:
-    return "atomic";
   case DequeKind::ChaseLev:
     return "chaselev";
   }
@@ -98,10 +89,6 @@ bool atc::parseDequeKind(const std::string &Name, DequeKind &Out) {
   std::string Key = normalizeKey(Name);
   if (Key == "the" || Key == "mutex" || Key == "lock") {
     Out = DequeKind::The;
-    return true;
-  }
-  if (Key == "atomic" || Key == "cas" || Key == "lockfree") {
-    Out = DequeKind::Atomic;
     return true;
   }
   if (Key == "chaselev" || Key == "cl" || Key == "growable") {

@@ -56,18 +56,16 @@ bool parseSchedulerKind(const std::string &Name, SchedulerKind &Out);
 ///  * The      - the paper's simplified Cilk THE-protocol deque (Fig. 3):
 ///               thieves serialize on the victim's mutex. The
 ///               paper-fidelity baseline and the default.
-///  * Atomic   - lock-free Chase-Lev-style deque with CAS-on-Head steals,
-///               extended with the special-task protocol (AtomicDeque.h).
-///  * ChaseLev - the same lock-free protocol over a growable ring
+///  * ChaseLev - lock-free Chase-Lev deque with CAS-on-Head steals over
+///               a growable ring, extended with the special-task protocol
 ///               (ChaseLevDeque.h): never overflows, DequeCapacity is
 ///               only the initial size. The fastest steal path.
 enum class DequeKind {
   The,
-  Atomic,
   ChaseLev,
 };
 
-/// Returns the display name ("the" / "atomic" / "chaselev").
+/// Returns the display name ("the" / "chaselev").
 const char *dequeKindName(DequeKind Kind);
 
 /// Parses a deque kind name (case-insensitive). Returns true on success.
@@ -83,7 +81,7 @@ bool parseDequeKind(const std::string &Name, DequeKind &Out);
 ///           for its next acquires. Each frame is still claimed by an
 ///           individual CAS / lock round (a wider bulk claim would race
 ///           with the owner's pop arbitration), which is why the
-///           lock-free deques make batching cheap and TheDeque pays a
+///           lock-free deque makes batching cheap and TheDeque pays a
 ///           mutex round per extra frame.
 enum class StealPolicy {
   One,
@@ -129,7 +127,7 @@ struct SchedulerConfig {
   int NumWorkers = 1;
 
   /// Capacity of each worker's deque, in entries. For the fixed-array
-  /// kinds (The, Atomic) this is a hard limit — tryPush beyond it reports
+  /// kind (The) this is a hard limit — tryPush beyond it reports
   /// overflow and the spawn degrades to a plain call. For ChaseLev it is
   /// only the *initial* ring size (rounded up to a power of two); the
   /// ring grows geometrically and never overflows.
@@ -142,8 +140,8 @@ struct SchedulerConfig {
   int PoolCap = 4096;
 
   /// Ready-deque implementation. The THE-protocol deque is the default
-  /// (paper fidelity); Atomic and ChaseLev select the lock-free steal
-  /// path (ChaseLev additionally grows instead of overflowing).
+  /// (paper fidelity); ChaseLev selects the lock-free steal path and
+  /// grows instead of overflowing.
   DequeKind Deque = DequeKind::The;
 
   /// Steal transfer width for the deque-based engines: steal-one (the

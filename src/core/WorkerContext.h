@@ -16,7 +16,6 @@
 #define ATC_CORE_WORKERCONTEXT_H
 
 #include "core/kernel/KernelWorker.h"
-#include "deque/AtomicDeque.h"
 #include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
 #include "support/Compiler.h"
@@ -26,7 +25,7 @@
 namespace atc {
 
 /// Deque-engine worker state, parameterized by the ready-deque
-/// implementation (TheDeque, AtomicDeque or ChaseLevDeque — see
+/// implementation (TheDeque or ChaseLevDeque — see
 /// SchedulerConfig::Deque). One instance per worker thread; the deque and
 /// the inherited need_task fields are the only members touched by other
 /// threads.

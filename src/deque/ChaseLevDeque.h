@@ -5,46 +5,91 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Chase & Lev's dynamic circular work-stealing deque (SPAA'05) promoted
-/// to a first-class scheduler deque: the same interface and the same
-/// AdaptiveTC special-task semantics as TheDeque / AtomicDeque
-/// (SchedulerConfig::Deque = chaselev), with the growable ring that the
-/// paper cites as the related-work answer to deque overflow ("a
-/// work-stealing d-e-que using a buffer pool that does not have the
-/// overflow problem").
+/// Chase & Lev's dynamic circular work-stealing deque (SPAA'05; C11
+/// formulation after Le, Pop, Cohen, Zappa Nardelli, PPoPP'13) extended
+/// with the AdaptiveTC special-task semantics of TheDeque, and with the
+/// growable ring that the paper cites as the related-work answer to
+/// deque overflow ("a work-stealing d-e-que using a buffer pool that
+/// does not have the overflow problem"). SchedulerConfig::Deque =
+/// chaselev selects it; it has the same interface as TheDeque. Thieves
+/// claim entries with a CAS on Head instead of taking the victim's
+/// mutex, so steal attempts — and in particular the very common probe of
+/// an *empty* deque — never serialize on a lock.
 ///
-/// Relationship to AtomicDeque: the index protocol is identical —
-/// monotonic 64-bit Head/Tail, CAS-on-Head steals, the special-task
-/// H += 2 child jump, owner-side arbitration with special re-publication
-/// (see AtomicDeque.h for the full protocol argument; every owner-side
-/// race case carries over unchanged because growth is owner-only and
-/// never moves live entries to new indices). What differs:
+/// Differences from the textbook Chase-Lev deque:
 ///
+///  * Entries carry a Special marker. A special task is never stolen: a
+///    thief that finds a special at the head claims the special's *child*
+///    (the next entry) with a single CAS Head -> Head+2, the lock-free
+///    equivalent of the paper's "H += 2" protocol (Fig. 3e).
+///  * popSpecial() reports whether the special's child was stolen, the
+///    lock-free equivalent of Fig. 3b (the THE deque resets H = T there;
+///    with monotonic indices the same state is reached by restoring Tail
+///    to the observed Head).
 ///  * The ring grows geometrically instead of rejecting pushes: tryPush
 ///    never fails, overflowCount() is always 0, and growCount() reports
 ///    how many times a fixed array of the initial capacity would have
 ///    overflowed. SchedulerConfig::DequeCapacity is therefore an
 ///    *initial* capacity here (rounded up to a power of two), not a
 ///    limit.
-///  * Ring-buffer reclamation: a grown-out buffer may still be read by
-///    in-flight thieves (they loaded the buffer pointer before the
-///    owner swapped it), so old buffers are *retired* to a list owned by
-///    the deque and freed only at destruction — safe memory reclamation
-///    without an epoch/hazard scheme. Entries in [Head, Tail) are copied
-///    to the new buffer at the same indices, so a thief holding the old
-///    buffer still reads the correct entry for any index its CAS can
-///    certify; total retired memory is bounded by twice the final
-///    capacity (geometric growth).
 ///
-/// Memory-ordering discipline: seq_cst *operations* on Head/Tail (and an
-/// acquire/release handoff on the buffer pointer), exactly like
-/// AtomicDeque and unlike the textbook formulation's standalone fences —
-/// ThreadSanitizer models operations precisely while its fence support
-/// is incomplete, so this deque is TSan-clean by construction.
+/// Index discipline: Head and Tail are monotonically increasing 64-bit
+/// counters; index I lives in ring slot I & Mask of whichever buffer is
+/// current. They are never reset mid-run, which is what makes the CAS on
+/// Head ABA-free — the THE deque's H = T / Tail-restore resets would
+/// re-issue old index values and let a stale thief claim a slot the ring
+/// has since recycled for a newer entry. Growth is owner-only and copies
+/// the live entries [Head, Tail) to the same indices in the new ring, so
+/// no live entry ever changes index and every race case below holds
+/// across a growth unchanged.
+///
+/// Owner-side races. A thief can only claim the owner's bottom entry
+/// (index T-1) in two states, and only there must pop() arbitrate with a
+/// CAS of its own:
+///
+///  * H == T-1: the classic single-entry race (Chase-Lev pop).
+///  * H == T-2 with a special at H: a thief's H += 2 jump claims H+1 ==
+///    T-1 without Head ever pointing at it. The owner claims by executing
+///    the same jump itself (CAS Head -> Head+2), which consumes the
+///    special entry as a side effect — so the owner immediately
+///    re-publishes the special in the ring slot of the new head. The
+///    deque must keep reading [special] after a successful child pop
+///    (exactly TheDeque's state there): later pushes stay under the
+///    special's protection and popSpecial() still finds the entry. A
+///    flag-based shortcut instead of re-publication is wrong — the
+///    child's spawn loop keeps pushing after the pop, and those entries
+///    would be stealable as *plain* entries while popSpecial() later
+///    reported "nothing stolen".
+///
+/// For H < T-2 (or H == T-2 with a non-special head entry) the plain
+/// fenced take is safe by the standard Chase-Lev argument extended to
+/// jumps: claiming the bottom entry requires a thief to observe Head at
+/// T-1 (plain claim) or T-2-with-special (jump), and the monotonicity of
+/// Head makes either observation contradict the owner's fenced read.
+///
+/// Ring-buffer reclamation: a grown-out buffer may still be read by
+/// in-flight thieves (they loaded the buffer pointer before the owner
+/// swapped it), so old buffers are *retired* to a list owned by the
+/// deque and freed only at destruction — safe memory reclamation without
+/// an epoch/hazard scheme. A thief holding the old buffer still reads
+/// the correct entry for any index its CAS can certify; total retired
+/// memory is bounded by twice the final capacity (geometric growth).
+///
+/// Memory-ordering discipline: every protocol-critical access to Head and
+/// Tail is a seq_cst *operation*, mirroring the fence placement of the
+/// C11 Chase-Lev formulation but without its standalone fences —
+/// ThreadSanitizer models operations precisely while its fence support is
+/// incomplete, so this deque is TSan-clean by construction. The
+/// correctness argument leans on the single-total-order guarantee: once
+/// the owner's Tail store + Head load pair completes, any thief whose
+/// Head read postdates a conflicting CAS is guaranteed to read the
+/// owner's new Tail, so stale-index claims are impossible. Ring slot
+/// contents are relaxed atomics published by the Tail store and
+/// validated by the claiming CAS; the buffer pointer is handed over by
+/// an acquire/release pair ordered before that same Tail store.
 ///
 /// Thread-safety contract: one owner thread calls tryPush/pop/popSpecial/
-/// reset; any number of thief threads call steal. Identical to TheDeque
-/// and AtomicDeque.
+/// reset; any number of thief threads call steal. Identical to TheDeque.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,8 +107,7 @@
 namespace atc {
 
 /// Growable lock-free work-stealing deque with AdaptiveTC special-task
-/// support. Drop-in replacement for TheDeque / AtomicDeque that never
-/// overflows.
+/// support. Drop-in replacement for TheDeque that never overflows.
 class ChaseLevDeque {
 public:
   /// Creates a deque with an *initial* capacity of \p Capacity entries,
@@ -87,7 +131,7 @@ public:
 
   /// Owner: pushes \p Frame at the tail, growing the ring when full.
   /// Always succeeds (returns true; the bool return keeps the signature
-  /// interchangeable with the fixed-array deques).
+  /// interchangeable with the fixed-array TheDeque).
   bool tryPush(void *Frame, bool Special = false) {
     std::int64_t T = Tail.load(std::memory_order_relaxed);
     std::int64_t H = Head.load(std::memory_order_acquire);
@@ -113,7 +157,8 @@ public:
 
   /// Owner: pops the tail entry. Failure means the entry was stolen (or
   /// claimed by a thief's special-child jump); the indices are restored
-  /// so the deque reads as empty. Protocol identical to AtomicDeque::pop.
+  /// so the deque reads as empty. See the file comment for the two
+  /// states in which a thief can claim the bottom entry.
   PopResult pop() {
     std::int64_t T = Tail.load(std::memory_order_relaxed) - 1; // our entry
     RingBuffer *RB = Buffer.load(std::memory_order_relaxed);
@@ -126,7 +171,7 @@ public:
         // H += 2 jump can claim our entry even though Head never points
         // at it. Arbitrate by executing the jump ourselves; that consumes
         // the special entry too, so on success re-publish it at the new
-        // head (see AtomicDeque.h for why a flag shortcut is wrong).
+        // head (see the file comment for why a flag shortcut is wrong).
         void *SpecialFrame = RB->slot(H).Frame.load(std::memory_order_relaxed);
         if (Head.compare_exchange_strong(H, H + 2, std::memory_order_seq_cst,
                                          std::memory_order_relaxed)) {
@@ -143,8 +188,10 @@ public:
         publishDepth();
         return PopResult::Failure;
       }
-      // At least one non-jumpable entry below ours: plain take (standard
-      // Chase-Lev argument, see AtomicDeque::pop).
+      // At least one non-jumpable entry below ours: plain take. Safe by
+      // the Chase-Lev argument — a thief claiming index T would have had
+      // to observe Head at T (or T-1 with a special), contradicting our
+      // fenced read of H < T-1 (or the non-special slot at T-1).
       publishDepth();
       return PopResult::Success;
     }
@@ -174,11 +221,14 @@ public:
     std::int64_t H = Head.load(std::memory_order_seq_cst);
     if (H <= T) {
       // The special entry is intact; nothing below it is jumpable and a
-      // special alone is unstealable, so no thief can contend.
+      // special alone is unstealable, so no thief can contend: plain
+      // take.
       publishDepth();
       return PopResult::Success;
     }
     // A thief's jump consumed the special together with its stolen child.
+    // The owner's failed pop() of the stolen child already restored Tail
+    // to Head, so after our decrement the gap reads as exactly one.
     assert(H == T + 1 && "head in impossible state past a special");
     Tail.store(H, std::memory_order_seq_cst); // the THE "H = T" reset
     publishDepth();
@@ -189,8 +239,11 @@ public:
   /// special's child via a single CAS Head -> Head+2.
   ///
   /// \p OnSteal, when non-null, runs with the stolen frame immediately
-  /// after the claiming CAS — no lock, so no happens-before edge to the
-  /// owner's pop/popSpecial failure (same contract as AtomicDeque).
+  /// after the claiming CAS. Unlike TheDeque there is no lock, so there
+  /// is NO happens-before edge to the owner's pop/popSpecial failure:
+  /// callers must tolerate the callback's effects racing with the
+  /// owner's failure handling (FramePolicy's join protocol does — see
+  /// DESIGN.md "Lock-free steal path").
   StealResult steal(void (*OnSteal)(void *Frame, void *Ctx) = nullptr,
                     void *Ctx = nullptr) {
     std::int64_t H = Head.load(std::memory_order_seq_cst);
@@ -258,7 +311,7 @@ public:
 
   /// tryPush rejections — always 0 (the ring grows instead); present so
   /// the engines report the same overflow-pressure observability for
-  /// every deque kind. See growCount() for the growth events.
+  /// both deque kinds. See growCount() for the growth events.
   std::uint64_t overflowCount() const { return 0; }
 
   /// Number of ring growths performed (each one is an overflow a fixed
@@ -278,7 +331,7 @@ public:
   }
 
   /// Lock acquisitions — always 0; present so the engines can report the
-  /// same steal-path observability for every deque kind.
+  /// same steal-path observability for both deque kinds.
   std::uint64_t lockAcquireCount() const { return 0; }
 
   /// Owner: drops all entries. Must not race with thieves. Indices stay
@@ -292,7 +345,8 @@ public:
 
   /// Live-metrics hook (src/metrics): when attached, every size-changing
   /// operation stores the new occupancy into \p Gauge with a relaxed
-  /// atomic store. Same contract as the other deque kinds.
+  /// atomic store — owner pushes/pops and thief steals alike. Same
+  /// contract as TheDeque.
   void attachDepthGauge(std::atomic<std::int64_t> *Gauge) {
     DepthGauge = Gauge;
   }

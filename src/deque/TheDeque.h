@@ -26,9 +26,9 @@
 /// any number of thief threads call steal. Thieves always take the lock;
 /// the owner takes it only on conflict (the THE fast path).
 ///
-/// Header-only (like AtomicDeque and ChaseLevDeque): the deque layer has
-/// no translation units, so atcc-generated code — which compiles with
-/// just -I <repo>/src and links no libraries — can instantiate any deque
+/// Header-only (like ChaseLevDeque): the deque layer has no translation
+/// units, so atcc-generated code — which compiles with just
+/// -I <repo>/src and links no libraries — can instantiate either deque
 /// kind, and the push/pop/steal fast path inlines into the engines.
 ///
 //===----------------------------------------------------------------------===//

@@ -31,7 +31,7 @@
 /// capacity (events; default 1M). Compiled out with ATC_TRACE=OFF builds
 /// (-DATC_TRACE_ENABLED=0).
 ///
-/// Deque knob: ATCGEN_DEQUE=the|atomic|chaselev mirrors every protocol
+/// Deque knob: ATCGEN_DEQUE=the|chaselev mirrors every protocol
 /// operation (push, pop, pushSpecial, popSpecial) into a real scheduler
 /// deque of that kind, running alongside the shadow vector and asserted
 /// to agree after every step — the single-worker executor becomes a
@@ -63,9 +63,8 @@
 // Event tracing (header-only exporter included too: generated binaries
 // write their own trace.json — see the ATCGEN_TRACE knob below).
 #include "trace/TraceJson.h"
-// The three scheduler deques (all header-only so generated code, which
+// The two scheduler deques (both header-only so generated code, which
 // links nothing, can instantiate them — see the ATCGEN_DEQUE knob).
-#include "deque/AtomicDeque.h"
 #include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
 
@@ -119,7 +118,7 @@ struct GenStats {
   std::uint64_t WorkspaceReuses = 0;      ///< Allocs served by the freelist.
 };
 
-/// Type-erased adapter over the three scheduler deques for the
+/// Type-erased adapter over the two scheduler deques for the
 /// ATCGEN_DEQUE conformance mirror (see the file comment). Virtual
 /// dispatch is fine here: the mirror is a validation knob, never the
 /// measured path.
@@ -186,16 +185,13 @@ struct Worker {
       std::string K(Kind);
       if (K == "the")
         Mirror = std::make_unique<DequeMirrorOf<atc::TheDeque>>("the", Cap);
-      else if (K == "atomic")
-        Mirror =
-            std::make_unique<DequeMirrorOf<atc::AtomicDeque>>("atomic", Cap);
       else if (K == "chaselev")
         Mirror = std::make_unique<DequeMirrorOf<atc::ChaseLevDeque>>(
             "chaselev", Cap);
       else {
         std::fprintf(stderr,
                      "atcgen: unknown ATCGEN_DEQUE kind '%s' "
-                     "(expected the|atomic|chaselev)\n",
+                     "(expected the|chaselev)\n",
                      Kind);
         std::exit(2);
       }

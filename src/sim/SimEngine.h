@@ -68,7 +68,7 @@ struct SimOptions {
   /// protocol is invisible at this abstraction level; what carries into
   /// virtual time is the thief-side claim cost (CostModel::StealNs for
   /// the THE lock round trip, CostModel::CasStealNs for the lock-free
-  /// CAS deques).
+  /// ChaseLev deque).
   DequeKind Deque = DequeKind::The;
 
   /// Steal-one vs steal-half (each extra continuation claimed in the

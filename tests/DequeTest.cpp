@@ -5,20 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Protocol tests shared by all three ready-deque implementations (the
-/// mutex THE deque, the lock-free AtomicDeque, and the growable lock-free
-/// ChaseLevDeque) run as a typed suite: the kinds must be behaviourally
-/// indistinguishable to the engine, including the special-task H += 2 /
-/// pop_specialtask reset protocol and exactly-once consumption under
-/// owner-vs-many-thieves contention. The one sanctioned divergence is a
-/// full deque: the fixed-array kinds reject the push while ChaseLev
-/// grows, so that test branches on which counter the kind exposes.
+/// Protocol tests shared by both ready-deque implementations (the mutex
+/// THE deque and the growable lock-free ChaseLevDeque) run as a typed
+/// suite: the kinds must be behaviourally indistinguishable to the
+/// engine, including the special-task H += 2 / pop_specialtask reset
+/// protocol and exactly-once consumption under owner-vs-many-thieves
+/// contention. The one sanctioned divergence is a full deque: the
+/// fixed-array THE deque rejects the push while ChaseLev grows, so that
+/// test branches on which counter the kind exposes.
 /// Implementation-specific behaviour (locks, slot recycling, ring
 /// growth) keeps its own tests at the bottom.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "deque/AtomicDeque.h"
 #include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
 
@@ -37,7 +36,7 @@ namespace {
 void *ptr(std::uintptr_t V) { return reinterpret_cast<void *>(V); }
 
 template <typename DequeT> class WsDeque : public ::testing::Test {};
-using DequeKinds = ::testing::Types<TheDeque, AtomicDeque, ChaseLevDeque>;
+using DequeKinds = ::testing::Types<TheDeque, ChaseLevDeque>;
 TYPED_TEST_SUITE(WsDeque, DequeKinds);
 
 TYPED_TEST(WsDeque, PushPopLifo) {
@@ -100,7 +99,7 @@ TYPED_TEST(WsDeque, PopSpecialSuccessWhenChildNotStolen) {
 
 TYPED_TEST(WsDeque, PopOwnChildThenPopSpecial) {
   // The no-steal round trip of the check version: the owner pops its own
-  // child back and then retires the special. On the AtomicDeque the child
+  // child back and then retires the special. On ChaseLevDeque the child
   // pop is the jump-claim arbitration path (CAS Head -> Head + 2, with
   // the special entry re-published at the new head).
   TypeParam D(16);
@@ -115,7 +114,7 @@ TYPED_TEST(WsDeque, SpecialGuardsPushesAfterChildPop) {
   // Regression test: after the owner pops its own child back, the special
   // must still sit at the head guarding whatever the spawn loop pushes
   // next — a later child must be stolen through the H += 2 jump and show
-  // up in popSpecial, not be taken as a plain entry. (An AtomicDeque
+  // up in popSpecial, not be taken as a plain entry. (A lock-free
   // owner-pop that consumed the special without re-publishing it broke
   // exactly this, silently downgrading later steals to unaccounted
   // plain steals.)
@@ -333,18 +332,11 @@ TEST(TheDeque, EmptyProbeSkipsTheLock) {
   EXPECT_EQ(D.lockAcquireCount(), 1u);
 }
 
-TEST(AtomicDeque, NeverTakesALock) {
-  AtomicDeque D(16);
-  D.tryPush(ptr(1));
-  EXPECT_EQ(D.steal().Status, StealResult::Status::Success);
-  EXPECT_EQ(D.lockAcquireCount(), 0u);
-}
-
-TEST(AtomicDeque, CircularBufferRecyclesSlots) {
-  // Unlike TheDeque's absolute indices, the AtomicDeque maps monotonic
-  // indices onto a small circular buffer: steady-state churn far beyond
-  // the capacity needs no reset.
-  AtomicDeque D(4);
+TEST(ChaseLev, CircularBufferRecyclesSlots) {
+  // Unlike TheDeque's absolute indices, ChaseLevDeque maps monotonic
+  // indices onto its ring: steady-state churn far beyond the capacity
+  // wraps around the same four slots, with no reset and no growth.
+  ChaseLevDeque D(4);
   for (std::uintptr_t I = 1; I <= 100; ++I) {
     ASSERT_TRUE(D.tryPush(ptr(I), /*Special=*/I % 5 == 0));
     ASSERT_TRUE(D.tryPush(ptr(1000 + I)));
@@ -371,7 +363,7 @@ TEST(AtomicDeque, CircularBufferRecyclesSlots) {
     }
     ASSERT_TRUE(D.empty()) << "round " << I;
   }
-  EXPECT_EQ(D.overflowCount(), 0u);
+  EXPECT_EQ(D.growCount(), 0u);
 }
 
 TEST(ChaseLev, NeverTakesALock) {

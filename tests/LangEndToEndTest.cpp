@@ -132,7 +132,7 @@ TEST(LangEndToEnd, NQueensCorrectWithDequeMirror) {
   // ATCGEN_DEQUE mirrors every protocol operation into a real scheduler
   // deque with step-by-step agreement asserts; an abort (protocol
   // divergence) fails the exit-status check inside compileAndRun.
-  for (const char *Kind : {"the", "atomic", "chaselev"})
+  for (const char *Kind : {"the", "chaselev"})
     EXPECT_EQ(compileAndRun(NQueensSrc, std::string("ATCGEN_DEQUE=") + Kind),
               "92\n")
         << Kind;
@@ -140,14 +140,14 @@ TEST(LangEndToEnd, NQueensCorrectWithDequeMirror) {
 
 TEST(LangEndToEnd, DequeMirrorComposesWithForcedSpecialTasks) {
   // Forced need_task drives pushSpecial/popSpecial through the mirror;
-  // a 2-entry initial capacity forces ChaseLev ring growth mid-run (the
-  // fixed-capacity kinds get the same protocol at default capacity).
+  // a 2-entry initial capacity forces ChaseLev ring growth mid-run, and
+  // both kinds also run the same protocol at default capacity.
   EXPECT_EQ(compileAndRun(NQueensSrc, "ATCGEN_DEQUE=chaselev "
                                       "ATCGEN_DEQUE_CAP=2 "
                                       "ATCGEN_FORCE_NEEDTASK=3"),
             "92\n");
   EXPECT_EQ(compileAndRun(NQueensSrc,
-                          "ATCGEN_DEQUE=atomic ATCGEN_FORCE_NEEDTASK=3"),
+                          "ATCGEN_DEQUE=chaselev ATCGEN_FORCE_NEEDTASK=3"),
             "92\n");
   EXPECT_EQ(compileAndRun(NQueensSrc,
                           "ATCGEN_DEQUE=the ATCGEN_FORCE_NEEDTASK=3"),

@@ -23,14 +23,24 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 using namespace atc;
 
 namespace {
 
+/// Deque column of the matrix: the THE deque, or the lock-free ChaseLev
+/// deque at its default ring ("chaselev") or from a two-entry ring that
+/// every run must grow while thieves steal ("atomic"; the label is kept
+/// from the fixed-ring lock-free kind these rows ran before ChaseLev
+/// replaced it, and the enumerator values match that kind's, so the row
+/// names stay stable).
+enum class MatrixDeque { The, TinyRing, ChaseLev };
+
 struct MatrixCase {
   SchedulerKind Kind;
   int Threads;
-  DequeKind Deque = DequeKind::The;
+  MatrixDeque Deque = MatrixDeque::The;
   StealPolicy Steal = StealPolicy::One;
   VictimPolicy Victim = VictimPolicy::Affinity;
 };
@@ -40,8 +50,10 @@ std::string caseName(const ::testing::TestParamInfo<MatrixCase> &Info) {
   for (char &C : Name)
     if (C == '-')
       C = '_';
-  if (Info.param.Deque != DequeKind::The)
-    Name += std::string("_") + dequeKindName(Info.param.Deque);
+  if (Info.param.Deque == MatrixDeque::TinyRing)
+    Name += "_atomic";
+  else if (Info.param.Deque == MatrixDeque::ChaseLev)
+    Name += std::string("_") + dequeKindName(DequeKind::ChaseLev);
   if (Info.param.Steal != StealPolicy::One)
     Name += std::string("_steal") + stealPolicyName(Info.param.Steal);
   if (Info.param.Victim != VictimPolicy::Affinity)
@@ -53,14 +65,17 @@ SchedulerConfig makeConfig(const MatrixCase &MC) {
   SchedulerConfig Cfg;
   Cfg.Kind = MC.Kind;
   Cfg.NumWorkers = MC.Threads;
-  Cfg.Deque = MC.Deque;
+  if (MC.Deque != MatrixDeque::The)
+    Cfg.Deque = DequeKind::ChaseLev;
+  if (MC.Deque == MatrixDeque::TinyRing)
+    Cfg.DequeCapacity = 2;
   Cfg.Steal = MC.Steal;
   Cfg.Victim = MC.Victim;
   return Cfg;
 }
 
-constexpr DequeKind AtomicDQ = DequeKind::Atomic;
-constexpr DequeKind ChaseLevDQ = DequeKind::ChaseLev;
+constexpr MatrixDeque TinyRingDQ = MatrixDeque::TinyRing;
+constexpr MatrixDeque ChaseLevDQ = MatrixDeque::ChaseLev;
 constexpr StealPolicy HalfSP = StealPolicy::Half;
 constexpr VictimPolicy RandomVP = VictimPolicy::Random;
 constexpr VictimPolicy PartitionedVP = VictimPolicy::Partitioned;
@@ -75,20 +90,21 @@ const MatrixCase AllCases[] = {
     {SchedulerKind::AdaptiveTC, 4},  {SchedulerKind::AdaptiveTC, 8},
     {SchedulerKind::Tascell, 1},     {SchedulerKind::Tascell, 2},
     {SchedulerKind::Tascell, 4},     {SchedulerKind::Tascell, 8},
-    // The same deque-backed engine kinds over the lock-free AtomicDeque:
-    // the deque choice must be invisible to the results.
-    {SchedulerKind::Cilk, 1, AtomicDQ},
-    {SchedulerKind::Cilk, 4, AtomicDQ},
-    {SchedulerKind::Cilk, 8, AtomicDQ},
-    {SchedulerKind::CilkSynched, 4, AtomicDQ},
-    {SchedulerKind::CilkSynched, 8, AtomicDQ},
-    {SchedulerKind::Cutoff, 4, AtomicDQ},
-    {SchedulerKind::Cutoff, 8, AtomicDQ},
-    {SchedulerKind::AdaptiveTC, 1, AtomicDQ},
-    {SchedulerKind::AdaptiveTC, 2, AtomicDQ},
-    {SchedulerKind::AdaptiveTC, 4, AtomicDQ},
-    {SchedulerKind::AdaptiveTC, 8, AtomicDQ},
-    // ... and over the growable ChaseLevDeque.
+    // The same deque-backed engine kinds over the lock-free ChaseLevDeque
+    // grown from a two-entry ring: the deque choice and its growth must
+    // be invisible to the results.
+    {SchedulerKind::Cilk, 1, TinyRingDQ},
+    {SchedulerKind::Cilk, 4, TinyRingDQ},
+    {SchedulerKind::Cilk, 8, TinyRingDQ},
+    {SchedulerKind::CilkSynched, 4, TinyRingDQ},
+    {SchedulerKind::CilkSynched, 8, TinyRingDQ},
+    {SchedulerKind::Cutoff, 4, TinyRingDQ},
+    {SchedulerKind::Cutoff, 8, TinyRingDQ},
+    {SchedulerKind::AdaptiveTC, 1, TinyRingDQ},
+    {SchedulerKind::AdaptiveTC, 2, TinyRingDQ},
+    {SchedulerKind::AdaptiveTC, 4, TinyRingDQ},
+    {SchedulerKind::AdaptiveTC, 8, TinyRingDQ},
+    // ... and at its default ring.
     {SchedulerKind::Cilk, 1, ChaseLevDQ},
     {SchedulerKind::Cilk, 4, ChaseLevDQ},
     {SchedulerKind::Cilk, 8, ChaseLevDQ},
@@ -103,14 +119,15 @@ const MatrixCase AllCases[] = {
     // Steal-half batch acquisition and the non-default victim orderings
     // must likewise be invisible to the results.
     {SchedulerKind::Cilk, 4, ChaseLevDQ, HalfSP},
-    {SchedulerKind::Cilk, 8, AtomicDQ, HalfSP},
+    {SchedulerKind::Cilk, 8, TinyRingDQ, HalfSP},
+    {SchedulerKind::Cilk, 8, ChaseLevDQ, HalfSP},
     {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ, HalfSP},
-    {SchedulerKind::AdaptiveTC, 8, DequeKind::The, HalfSP},
+    {SchedulerKind::AdaptiveTC, 8, MatrixDeque::The, HalfSP},
     {SchedulerKind::Cilk, 4, ChaseLevDQ, HalfSP, RandomVP},
     {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ, StealPolicy::One, RandomVP},
     {SchedulerKind::AdaptiveTC, 8, ChaseLevDQ, HalfSP, PartitionedVP},
-    {SchedulerKind::Tascell, 4, DequeKind::The, StealPolicy::One, RandomVP},
-    {SchedulerKind::Tascell, 8, DequeKind::The, StealPolicy::One,
+    {SchedulerKind::Tascell, 4, MatrixDeque::The, StealPolicy::One, RandomVP},
+    {SchedulerKind::Tascell, 8, MatrixDeque::The, StealPolicy::One,
      PartitionedVP},
 };
 
@@ -179,6 +196,55 @@ TEST_P(SchedulerMatrix, PentominoSmall) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, SchedulerMatrix,
                          ::testing::ValuesIn(AllCases), caseName);
+
+//===----------------------------------------------------------------------===//
+// Option-name parsing shared by every CLI, JobSpec and the load generator
+//===----------------------------------------------------------------------===//
+
+TEST(SchedulerNames, ParsersAcceptEverySpelling) {
+  // Case-insensitive, with "-" and "_" ignored.
+  const std::pair<const char *, SchedulerKind> Kinds[] = {
+      {"sequential", SchedulerKind::Sequential},
+      {"Serial", SchedulerKind::Sequential},
+      {"seq", SchedulerKind::Sequential},
+      {"cilk", SchedulerKind::Cilk},
+      {"Cilk-SYNCHED", SchedulerKind::CilkSynched},
+      {"synched", SchedulerKind::CilkSynched},
+      {"cutoff", SchedulerKind::Cutoff},
+      {"adaptive_tc", SchedulerKind::AdaptiveTC},
+      {"ATC", SchedulerKind::AdaptiveTC},
+      {"adaptive", SchedulerKind::AdaptiveTC},
+      {"tascell", SchedulerKind::Tascell}};
+  for (const auto &[Name, Expected] : Kinds) {
+    SchedulerKind K = SchedulerKind::Sequential;
+    EXPECT_TRUE(parseSchedulerKind(Name, K)) << Name;
+    EXPECT_EQ(K, Expected) << Name;
+  }
+  const std::pair<const char *, DequeKind> Deques[] = {
+      {"the", DequeKind::The},
+      {"Mutex", DequeKind::The},
+      {"lock", DequeKind::The},
+      {"chaselev", DequeKind::ChaseLev},
+      {"Chase-Lev", DequeKind::ChaseLev},
+      {"cl", DequeKind::ChaseLev},
+      {"growable", DequeKind::ChaseLev}};
+  for (const auto &[Name, Expected] : Deques) {
+    DequeKind K = DequeKind::The;
+    EXPECT_TRUE(parseDequeKind(Name, K)) << Name;
+    EXPECT_EQ(K, Expected) << Name;
+  }
+}
+
+TEST(SchedulerNames, ParsersRejectUnknownNames) {
+  SchedulerKind SK;
+  EXPECT_FALSE(parseSchedulerKind("magic", SK));
+  EXPECT_FALSE(parseSchedulerKind("", SK));
+  // The fixed-ring lock-free deque was removed; its old spellings must
+  // fail rather than select another kind.
+  DequeKind DK;
+  for (const char *Name : {"atomic", "cas", "lockfree", "lock-free", ""})
+    EXPECT_FALSE(parseDequeKind(Name, DK)) << Name;
+}
 
 //===----------------------------------------------------------------------===//
 // Repeated-run determinism of results (not of schedules)
@@ -333,27 +399,6 @@ TEST(SchedulerBehaviour, SpecialTasksFireUnderStealPressure) {
       << "check->fast_2 transition never fired under forced pressure";
 }
 
-TEST(SchedulerBehaviour, SpecialTasksFireWithAtomicDeque) {
-  // The same forced-pressure scenario over the lock-free deque: the CAS
-  // Head += 2 jump and the owner-side popSpecial accounting must carry
-  // the special-task protocol end to end.
-  NQueensArray Prob;
-  SchedulerConfig Cfg;
-  Cfg.Kind = SchedulerKind::AdaptiveTC;
-  Cfg.Deque = DequeKind::Atomic;
-  Cfg.NumWorkers = 4;
-  Cfg.MaxStolenNum = 0;
-  std::uint64_t Specials = 0;
-  for (int Attempt = 0; Attempt < 10 && Specials == 0; ++Attempt) {
-    Cfg.Seed = 177 + static_cast<std::uint64_t>(Attempt);
-    auto R = runProblem(Prob, NQueensArray::makeRoot(11), Cfg);
-    ASSERT_EQ(R.Value, 2680) << "attempt " << Attempt;
-    Specials = R.Stats.SpecialTasks;
-  }
-  EXPECT_GT(Specials, 0u)
-      << "special-task path never fired on the atomic deque";
-}
-
 TEST(SchedulerBehaviour, SpecialTasksFireWithChaseLevDeque) {
   // Forced pressure over the growable deque: the Head += 2 jump, the
   // owner-side popSpecial accounting AND ring growth (tiny initial
@@ -417,8 +462,7 @@ TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
                                  SchedulerKind::CilkSynched,
                                  SchedulerKind::Cutoff,
                                  SchedulerKind::AdaptiveTC};
-  const DequeKind Deques[] = {DequeKind::The, DequeKind::Atomic,
-                              DequeKind::ChaseLev};
+  const DequeKind Deques[] = {DequeKind::The, DequeKind::ChaseLev};
   const StealPolicy Steals[] = {StealPolicy::One, StealPolicy::Half};
 
   NQueensArray NQ;
@@ -466,7 +510,7 @@ TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
         }
 
         // The heavier Sudoku tree only for steal-one: the batch path is
-        // already covered above and the matrix is 24 configs deep.
+        // already covered above and the matrix is 16 configs deep.
         if (SP != StealPolicy::One)
           continue;
         auto RS = runProblem(SU, Sudoku::makeInstance("balance"), Cfg);
@@ -492,8 +536,7 @@ TEST(PolicyMatrix, TuningPreservesNodeAccounting) {
   const SchedulerKind Kinds[] = {SchedulerKind::Cilk,
                                  SchedulerKind::Cutoff,
                                  SchedulerKind::AdaptiveTC};
-  const DequeKind Deques[] = {DequeKind::The, DequeKind::Atomic,
-                              DequeKind::ChaseLev};
+  const DequeKind Deques[] = {DequeKind::The, DequeKind::ChaseLev};
 
   NQueensArray NQ;
   auto NQRoot = NQueensArray::makeRoot(9);

@@ -163,6 +163,10 @@ TEST(JobSpecJson, RejectsBadSpecs) {
       << "non-integer size";
   EXPECT_FALSE(
       parseJobSpec(R"({"problem": "fib", "scheduler": "magic"})", S, Err));
+  EXPECT_FALSE(parseJobSpec(R"({"problem": "fib", "deque": "atomic"})", S,
+                            Err))
+      << "removed deque kind";
+  EXPECT_EQ(Err, "unknown deque kind 'atomic'");
   EXPECT_FALSE(parseJobSpec("not json at all", S, Err));
   EXPECT_FALSE(Err.empty());
 }

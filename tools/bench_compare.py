@@ -46,7 +46,6 @@ import sys
 # higher is better) rather than per-op time.
 DRAIN_PREFIXES = (
     "BM_DrainStealThe/",
-    "BM_DrainStealAtomic/",
     "BM_DrainStealChaseLev/",
 )
 
@@ -55,16 +54,13 @@ DRAIN_PREFIXES = (
 # skipped and listed as such.
 SKIP_PREFIXES = (
     "BM_ContendedStealThe/",
-    "BM_ContendedStealAtomic/",
     "BM_ContendedStealChaseLev/",
 )
 
 
 def drain_kind(name):
     """Deque kind key for a BM_DrainSteal* benchmark name."""
-    if "ChaseLev" in name:
-        return "chaselev"
-    return "the" if "The" in name else "atomic"
+    return "chaselev" if "ChaseLev" in name else "the"
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
