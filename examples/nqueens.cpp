@@ -30,6 +30,7 @@
 #include "support/Timer.h"
 #include "trace/TraceJson.h"
 
+#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -89,20 +90,18 @@ int main(int argc, char **argv) {
     reportFatalError("unknown steal policy '" + StealPol + "'");
   if (!parseVictimPolicy(Victim, Cfg.Victim))
     reportFatalError("unknown victim policy '" + Victim + "'");
+  if (Workers < 1 || Workers > INT_MAX)
+    reportFatalError("option --workers expects a value in [1, " +
+                     std::to_string(INT_MAX) + "], got " +
+                     std::to_string(Workers));
+  if (TraceCap < 1 || TraceCap > INT_MAX)
+    reportFatalError("option --trace-cap expects a value in [1, " +
+                     std::to_string(INT_MAX) + "], got " +
+                     std::to_string(TraceCap));
   Cfg.NumWorkers = static_cast<int>(Workers);
   Cfg.Trace = !TracePath.empty();
   Cfg.TraceCap = static_cast<int>(TraceCap);
   Cfg.Tuning = Tuning;
-#if !ATC_TRACE_ENABLED
-  if (Cfg.Trace)
-    std::fprintf(stderr, "nqueens: warning: built with ATC_TRACE=OFF; "
-                         "--trace will produce no events\n");
-#endif
-#if !defined(ATC_TUNING_ENABLED) || !ATC_TUNING_ENABLED
-  if (Tuning)
-    std::fprintf(stderr, "nqueens: warning: built with ATC_TUNING=OFF; "
-                         "--tuning has no effect\n");
-#endif
 
   ProblemRunner Prob;
   std::string Err;
@@ -121,8 +120,8 @@ int main(int argc, char **argv) {
 
   if (!TracePath.empty()) {
     if (!R.Trace) {
-      std::fprintf(stderr, "nqueens: no trace was recorded (sequential "
-                           "scheduler or tracing compiled out)\n");
+      std::fprintf(stderr, "nqueens: no trace was recorded (the "
+                           "sequential scheduler records none)\n");
       return 1;
     }
     R.Trace->Meta.Workload = Prob.Workload;

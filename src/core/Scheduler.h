@@ -172,20 +172,18 @@ struct SchedulerConfig {
 
   /// Arm the event tracer (src/trace) for this run: each worker gets a
   /// fixed-size ring buffer and the run's RunResult carries the TraceLog
-  /// out for export. Requires a build with ATC_TRACE=ON (the default);
-  /// when tracing is compiled out this flag is ignored.
+  /// out for export. Unarmed, every emission site is one untaken branch.
   bool Trace = false;
 
   /// Per-worker trace ring capacity, in events (16 bytes each). On
   /// overflow the ring keeps the newest events and counts the dropped
-  /// oldest ones. Default: 1M events = 16 MiB per worker.
+  /// oldest ones. Must be >= 1 when Trace is armed. Default: 1M events
+  /// = 16 MiB per worker.
   int TraceCap = 1 << 20;
 
   /// Arm the live-metrics layer (src/metrics) for this run: each worker
   /// gets a cache-line-isolated metric cell and the run's RunResult
-  /// carries the MetricsRegistry out for exposition. Requires a build
-  /// with ATC_METRICS=ON (the default); when metrics are compiled out
-  /// this flag is ignored.
+  /// carries the MetricsRegistry out for exposition.
   bool Metrics = false;
 
   /// Arm the online tuning layer (src/core/tuning) for this run: each
@@ -193,8 +191,7 @@ struct SchedulerConfig {
   /// MaxStolenNum and steal-backoff bound from its own live metrics
   /// (Cutoff / MaxStolenNum above become *initial* values). Implies
   /// Metrics — the controller's inputs are the metric cells, so arming
-  /// tuning arms them too. Requires a build with ATC_TUNING=ON (and
-  /// ATC_METRICS=ON); when tuning is compiled out this flag is ignored.
+  /// tuning arms them too.
   bool Tuning = false;
 
   /// Externally owned registry to publish into instead of a run-private

@@ -121,7 +121,6 @@ public:
 
   void beginRun(Runtime &R) {
     Rt = &R;
-#if ATC_METRICS_ENABLED
     // Metrics arming (WorkerRuntime::run) precedes beginRun, so the
     // cells exist by now: point each deque at its worker's depth gauge
     // (pushes, pops and thief-side steals all store the new size).
@@ -130,7 +129,6 @@ public:
       W.Deque.attachDepthGauge(
           W.Metrics != nullptr ? &W.Metrics->dequeDepthGauge() : nullptr);
     }
-#endif
     StateArenas.clear();
     FrameArenas.clear();
     for (int I = 0; I < Cfg.NumWorkers; ++I) {
@@ -302,10 +300,8 @@ private:
   /// keeps calling Tc directly.
   FsmTransition dispatchChild(const Worker &W, CodeVersion Cur, int Dp,
                               bool NeedTask) const {
-#if ATC_TUNING_ENABLED
     if (ATC_UNLIKELY(W.Tune != nullptr))
       return TcPol(W.Tune->cutoff()).child(Cur, Dp, NeedTask);
-#endif
     (void)W;
     return Tc.child(Cur, Dp, NeedTask);
   }
@@ -558,12 +554,10 @@ FramePolicy<P, DequeT, TcPol>::checkBody(Worker &W, State &S, int Depth) {
   // node and poll counts accumulate in a local flushed on exit. setMode
   // de-dupes, so nested taskBody spans restore Check on return.
   MetricsModeScope MetricsSpan(W.Metrics, TraceMode::Check);
-#if ATC_TRACE_ENABLED
   if (ATC_UNLIKELY(W.Trace != nullptr) &&
       W.Trace->mode() != TraceMode::Check)
     W.Trace->emit(TraceEventKind::SpawnFake, 0,
                   static_cast<std::uint16_t>(Depth));
-#endif
   TraceModeScope TraceSpan(W.Trace, TraceMode::Check);
   CheckCounts C;
   Result R = checkBodyImpl(W, S, Depth, C);

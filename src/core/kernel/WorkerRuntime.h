@@ -109,7 +109,6 @@ public:
     for (int I = 0; I < Cfg.NumWorkers; ++I)
       Workers.push_back(Pol.makeWorker(I));
     Log.reset();
-#if ATC_TRACE_ENABLED
     if (Cfg.Trace) {
       Log = std::make_shared<TraceLog>(
           Cfg.NumWorkers, static_cast<std::size_t>(Cfg.TraceCap));
@@ -118,16 +117,10 @@ public:
       for (int I = 0; I < Cfg.NumWorkers; ++I)
         Workers[static_cast<std::size_t>(I)]->Trace = &Log->buffer(I);
     }
-#endif
     Reg.reset();
-#if ATC_METRICS_ENABLED
     // Tuning implies metrics: the controllers' only inputs are the
     // cells, so an armed Cfg.Tuning arms the registry too.
-    bool WantTuning = false;
-#if ATC_TUNING_ENABLED
-    WantTuning = Cfg.Tuning;
-#endif
-    if (Cfg.Metrics || Cfg.MetricsSink != nullptr || WantTuning) {
+    if (Cfg.Metrics || Cfg.MetricsSink != nullptr || Cfg.Tuning) {
       if (Cfg.MetricsSink != nullptr) {
         // Non-owning alias: the owner (a CLI session or a job server)
         // keeps the sink alive and may be reading it concurrently from
@@ -150,9 +143,8 @@ public:
         Cell.begin(ArmNs);
         Workers[static_cast<std::size_t>(I)]->Metrics = &Cell;
       }
-#if ATC_TUNING_ENABLED
       Tuners.clear();
-      if (WantTuning) {
+      if (Cfg.Tuning) {
         // One controller per worker, knobs seeded from the run config;
         // publish immediately so the atc_tune_* gauges show the armed
         // initial values before the first rule window closes.
@@ -164,9 +156,7 @@ public:
           Tuners.push_back(std::move(T));
         }
       }
-#endif
     }
-#endif
     Pol.beginRun(*this);
 
     if (Cfg.NumWorkers == 1) {
@@ -210,14 +200,13 @@ public:
   /// Aggregated statistics of the last run().
   const SchedulerStats &stats() const { return Total; }
 
-  /// The last run's event trace, or null when untraced (Cfg.Trace off or
-  /// the ATC_TRACE=OFF build). Shared so RunResult can outlive this
-  /// runtime.
+  /// The last run's event trace, or null when untraced (Cfg.Trace off).
+  /// Shared so RunResult can outlive this runtime.
   std::shared_ptr<TraceLog> traceLog() const { return Log; }
 
-  /// The last run's metrics registry, or null when unmetered (Cfg.Metrics
-  /// off or the ATC_METRICS=OFF build). Non-owning alias when the run
-  /// published into an external Cfg.MetricsSink.
+  /// The last run's metrics registry, or null when unmetered (neither
+  /// Cfg.Metrics, Cfg.MetricsSink nor Cfg.Tuning set). Non-owning alias
+  /// when the run published into an external Cfg.MetricsSink.
   std::shared_ptr<MetricsRegistry> metricsRegistry() const { return Reg; }
 
   //===--------------------------------------------------------------------===//
@@ -314,7 +303,6 @@ private:
       if (O == AcquireOutcome::Terminated)
         break;
       ++FailStreak;
-#if ATC_TUNING_ENABLED
       if (ATC_UNLIKELY(W.Tune != nullptr) && (FailStreak & 15) == 0) {
         // Starving thief: flush the failure counters so the controller
         // sees them, then evaluate — the max_stolen/backoff rules must
@@ -323,7 +311,6 @@ private:
         ATC_METRIC(W.Metrics, publishStats(W.Stats));
         W.Tune->maybeTune(nowNanos(), *W.Metrics);
       }
-#endif
       stealBackoff(FailStreak, liveBackoffShift(W.Tune));
     }
     W.Stats.StealWaitNs += nowNanos() - IdleBegin;
@@ -458,11 +445,9 @@ private:
   Policy &Pol;
   SchedulerConfig Cfg;
   std::vector<std::unique_ptr<Worker>> Workers;
-#if ATC_TUNING_ENABLED
   /// Per-worker tuning controllers when Cfg.Tuning armed the run
   /// (rebuilt per run, like Workers; workers hold raw pointers).
   std::vector<std::unique_ptr<TuningController>> Tuners;
-#endif
   std::shared_ptr<TraceLog> Log;
   std::shared_ptr<MetricsRegistry> Reg;
   std::atomic<bool> Done{false};

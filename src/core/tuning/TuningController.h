@@ -31,11 +31,10 @@
 ///                         plentiful; retry fast), widened when they
 ///                         mostly fail (stop hammering contended lines).
 ///
-/// Gating mirrors trace/metrics exactly (the double-gating idiom):
-/// building with -DATC_TUNING=OFF defines ATC_TUNING_ENABLED=0 and
-/// compiles every read/tune site away; with tuning compiled in, the
-/// runtime gate is SchedulerConfig::Tuning — off costs one predictable
-/// untaken branch on a worker-local pointer per site. Tuning implies
+/// Gating mirrors trace/metrics: tuning is always compiled in, and the
+/// run's SchedulerConfig::Tuning arms it. Unarmed, each read/tune site
+/// costs one predictable untaken branch on a worker-local pointer, and
+/// the per-node fake path reads no knob at all. Tuning implies
 /// metrics: the controller's only inputs are the cell's counters and
 /// histograms, so arming tuning arms the metrics cells too.
 ///
@@ -57,12 +56,6 @@
 
 #include <atomic>
 #include <cstdint>
-
-// Compile-time tuning gate. The build defines ATC_TUNING_ENABLED=0|1 via
-// the ATC_TUNING CMake option; standalone consumers default to enabled.
-#ifndef ATC_TUNING_ENABLED
-#define ATC_TUNING_ENABLED 1
-#endif
 
 namespace atc {
 
@@ -232,13 +225,9 @@ private:
 // Gated accessors — how runtime code reads live knobs
 //===----------------------------------------------------------------------===//
 //
-// With ATC_TUNING_ENABLED=0 these fold to the configured default (the
-// compile-time gate; the pointer argument is dead and the hot path is
-// untouched). Otherwise they cost one predictable null test (the runtime
-// gate: the pointer is null unless SchedulerConfig::Tuning armed the
-// run) — the same shape as ATC_METRIC.
-
-#if ATC_TUNING_ENABLED
+// Each costs one predictable null test (the run's gate: the pointer is
+// null unless SchedulerConfig::Tuning armed the run) — the same shape as
+// ATC_METRIC.
 
 /// The worker's live cut-off depth, or \p Def when untuned.
 inline int liveCutoff(const TuningController *T, int Def) {
@@ -261,21 +250,6 @@ inline int liveBackoffShift(const TuningController *T) {
     if (ATC_UNLIKELY((TC) != nullptr))                                       \
       (TC)->__VA_ARGS__;                                                     \
   } while (false)
-
-#else
-
-inline int liveCutoff(const TuningController *, int Def) { return Def; }
-inline int liveMaxStolen(const TuningController *, int Def) { return Def; }
-inline int liveBackoffShift(const TuningController *) {
-  return DefaultBackoffShift;
-}
-
-#define ATC_TUNE(TC, ...)                                                    \
-  do {                                                                       \
-    (void)(TC);                                                              \
-  } while (false)
-
-#endif // ATC_TUNING_ENABLED
 
 } // namespace atc
 

@@ -92,10 +92,6 @@ public:
            const std::string &Workload) {
     if (!Opt.wantsMetrics())
       return;
-#if !ATC_METRICS_ENABLED
-    std::fprintf(stderr, "warning: built with ATC_METRICS=OFF; metrics "
-                         "flags will produce empty snapshots\n");
-#endif
     Reg.reset(Cfg.NumWorkers);
     // Meta belongs to the registry's owner: the runtime never touches an
     // external sink's Meta (a sampler may be reading it concurrently).

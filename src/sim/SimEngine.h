@@ -89,10 +89,9 @@ struct SimOptions {
   /// Arm the online tuning layer: each virtual worker gets the same
   /// TuningController as the real runtime (core/tuning), driven on its
   /// *virtual* clock — Cutoff / MaxStolenNum above become initial values
-  /// and the controller's rules are exercised deterministically. Needs a
-  /// build with ATC_TUNING=ON and ATC_METRICS=ON (the controllers read
-  /// the metrics cells; the simulator arms a private registry when the
-  /// caller passed none); compiled-out builds ignore the flag.
+  /// and the controller's rules are exercised deterministically. The
+  /// controllers read the metrics cells, so the simulator arms a private
+  /// registry when the caller passed none.
   bool Tuning = false;
 
   /// Rule constants and knob bounds for the armed controllers; the

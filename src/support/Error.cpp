@@ -14,7 +14,7 @@ using namespace atc;
 
 void atc::reportFatalError(const std::string &Msg) {
   std::fprintf(stderr, "fatal error: %s\n", Msg.c_str());
-  std::abort();
+  std::exit(1);
 }
 
 void atc::reportWarning(const std::string &Msg) {

@@ -18,7 +18,9 @@
 
 namespace atc {
 
-/// Prints "fatal error: <Msg>" to stderr and terminates the process.
+/// Prints "fatal error: <Msg>" to stderr and exits with status 1. Input
+/// errors are not crashes: no abort, no core dump, and a test harness
+/// sees an ordinary failing exit status.
 [[noreturn]] void reportFatalError(const std::string &Msg);
 
 /// Prints "warning: <Msg>" to stderr.

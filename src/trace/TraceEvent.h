@@ -13,12 +13,10 @@
 /// (GenRuntime) — emits this same 16-byte record, so one exporter and one
 /// summarizer serve them all.
 ///
-/// The compile-time gate: building with -DATC_TRACE=OFF (CMake option)
-/// defines ATC_TRACE_ENABLED=0 and compiles every emission site away
-/// entirely (the ATC_TRACE_EVENT macros below expand to nothing). With
-/// tracing compiled in, the runtime gate is SchedulerConfig::Trace — when
-/// it is off, each emission site costs exactly one predictable
-/// branch-not-taken on a worker-local pointer.
+/// Tracing is always compiled in; the one gate is the run's
+/// SchedulerConfig::Trace. When it is off, each emission site costs one
+/// predictable branch-not-taken on a worker-local pointer, and the
+/// per-node fake path carries no site at all (see FramePolicy::checkBody).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,13 +26,6 @@
 #include "core/kernel/FiveVersionFsm.h"
 
 #include <cstdint>
-
-// Compile-time tracing gate. The build defines ATC_TRACE_ENABLED=0|1 via
-// the ATC_TRACE CMake option; standalone consumers (atcc-generated code
-// compiled with only -I <repo>/src) default to enabled.
-#ifndef ATC_TRACE_ENABLED
-#define ATC_TRACE_ENABLED 1
-#endif
 
 namespace atc {
 

@@ -9,7 +9,7 @@
 /// the coherence contract (a post-join registry snapshot aggregates to
 /// exactly the run's SchedulerStats, for every scheduler kind and for the
 /// simulator), the Prometheus exposition round-trip including the
-/// generated-code runtime's standalone writer, and the compile-time gate.
+/// generated-code runtime's standalone writer, and arming metrics per run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -163,8 +163,6 @@ TEST(MetricsCell, PublishStatsMirrorsEveryField) {
 // Snapshot-vs-SchedulerStats coherence (the CI metrics-smoke contract)
 //===----------------------------------------------------------------------===//
 
-#if ATC_METRICS_ENABLED
-
 struct CoherenceCase {
   SchedulerKind Kind;
   DequeKind Deque = DequeKind::The;
@@ -283,14 +281,12 @@ TEST(MetricsSim, StealHalfAndAffinityCountersSurfaceInSnapshot) {
             Snap.total(StatField::Steals) + Snap.total(StatField::StealFails));
 }
 
-#endif // ATC_METRICS_ENABLED
-
 //===----------------------------------------------------------------------===//
 // Prometheus exposition round-trip
 //===----------------------------------------------------------------------===//
 
 // Fills a registry with hand-written per-worker values; independent of
-// the compile-time gate (cells and the exposition layer always exist).
+// any run.
 void fillRegistry(MetricsRegistry &Reg) {
   Reg.reset(2);
   Reg.Meta.Scheduler = "AdaptiveTC";
@@ -430,7 +426,7 @@ TEST(Exposition, GenRuntimeMetricsFileParses) {
 }
 
 //===----------------------------------------------------------------------===//
-// Compile-time gate
+// Arming metrics for one run (metrics are always compiled in)
 //===----------------------------------------------------------------------===//
 
 TEST(MetricsGate, CompileTimeGate) {
@@ -442,13 +438,8 @@ TEST(MetricsGate, CompileTimeGate) {
   Cfg.Metrics = true;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 92);
-#if !ATC_METRICS_ENABLED
-  // Built with -DATC_METRICS=OFF: asking for metrics must yield none.
-  EXPECT_EQ(R.Metrics, nullptr);
-#else
   ASSERT_NE(R.Metrics, nullptr);
   EXPECT_GT(R.Metrics->sample().total(StatField::TasksCreated), 0u);
-#endif
 }
 
 } // namespace

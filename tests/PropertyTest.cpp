@@ -427,7 +427,6 @@ TEST_P(SimVsRuntimeOneWorker, CountersAndSpawnEventsAgree) {
     EXPECT_EQ(Rt.Stats.SpecialTasks, 0u);
     EXPECT_EQ(Sim.SpecialTasks, 0u);
 
-#if ATC_TRACE_ENABLED
     ASSERT_NE(Rt.Trace, nullptr);
     ASSERT_EQ(Rt.Trace->totalDropped(), 0u);
     ASSERT_EQ(SimLog.totalDropped(), 0u);
@@ -442,7 +441,6 @@ TEST_P(SimVsRuntimeOneWorker, CountersAndSpawnEventsAgree) {
       EXPECT_GT(RtFake, 0u);
     }
     EXPECT_LE(RtFake, Rt.Stats.FakeTasks);
-#endif
   }
 }
 

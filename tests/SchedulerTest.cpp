@@ -529,9 +529,7 @@ TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
 // node still runs under exactly one code version (a dispatch reads one
 // cut-off value, whichever it is), so real + fake tasks must still
 // partition the tree and every steal attempt must still resolve — across
-// scheduler kinds and deque kinds. In an ATC_TUNING=OFF build the flag
-// is inert and this leg degenerates to the static matrix, which must
-// also pass.
+// scheduler kinds and deque kinds.
 TEST(PolicyMatrix, TuningPreservesNodeAccounting) {
   const SchedulerKind Kinds[] = {SchedulerKind::Cilk,
                                  SchedulerKind::Cutoff,

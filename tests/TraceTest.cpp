@@ -9,7 +9,7 @@
 /// overflow semantics, per-worker event ordering, the Chrome-trace
 /// exporter's JSON validity and schema round-trip, the JSON parser, the
 /// text summarizer, end-to-end traces from the real runtime and the
-/// virtual-time simulator, and the compile-time gate.
+/// virtual-time simulator, and the run's trace-capacity setting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,7 +90,6 @@ TEST(TraceBuffer, NullPointerMacroIsSafe) {
 }
 
 TEST(TraceModeScope, SavesAndRestores) {
-#if ATC_TRACE_ENABLED
   TraceBuffer TB;
   TB.init(16);
   TB.setModeAt(1, TraceMode::Check);
@@ -101,7 +100,6 @@ TEST(TraceModeScope, SavesAndRestores) {
   EXPECT_EQ(TB.mode(), TraceMode::Check);
   // check -> fast_2 -> check: three mode events.
   EXPECT_EQ(TB.size(), 3u);
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -263,7 +261,6 @@ TEST(TraceRuntime, AdaptiveTcRunProducesCoherentTrace) {
   Cfg.Trace = true;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_TRACE_ENABLED
   ASSERT_NE(R.Trace, nullptr);
   EXPECT_EQ(R.Trace->numWorkers(), 4);
   EXPECT_EQ(R.Trace->Meta.Scheduler, "AdaptiveTC");
@@ -296,7 +293,6 @@ TEST(TraceRuntime, AdaptiveTcRunProducesCoherentTrace) {
   EXPECT_GT(Busy, 0.0);
   EXPECT_EQ(Steals, R.Stats.Steals);
   EXPECT_FALSE(formatSummary(S).empty());
-#endif
 }
 
 TEST(TraceRuntime, DisabledByDefault) {
@@ -310,21 +306,28 @@ TEST(TraceRuntime, DisabledByDefault) {
   EXPECT_EQ(R.Trace, nullptr);
 }
 
+// Tracing is always compiled in; what a run controls is whether it is
+// armed and how large each worker's ring is. Cfg.TraceCap must reach
+// every ring, and a small cap must overflow (keeping the newest events)
+// without disturbing the result.
 TEST(TraceRuntime, CompileTimeGate) {
-#if !ATC_TRACE_ENABLED
-  // Built with -DATC_TRACE=OFF: asking for a trace must yield none.
   NQueensArray Prob;
   auto Root = NQueensArray::makeRoot(8);
   SchedulerConfig Cfg;
   Cfg.Kind = SchedulerKind::AdaptiveTC;
   Cfg.NumWorkers = 2;
   Cfg.Trace = true;
+  Cfg.TraceCap = 64;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 92);
-  EXPECT_EQ(R.Trace, nullptr);
-#else
-  GTEST_SKIP() << "tracing compiled in (ATC_TRACE=ON)";
-#endif
+  ASSERT_NE(R.Trace, nullptr);
+  ASSERT_EQ(R.Trace->numWorkers(), 2);
+  for (int W = 0; W < R.Trace->numWorkers(); ++W) {
+    EXPECT_EQ(R.Trace->buffer(W).capacity(), 64u) << "worker " << W;
+    EXPECT_LE(R.Trace->buffer(W).size(), 64u) << "worker " << W;
+  }
+  EXPECT_GT(R.Trace->totalDropped(), 0u)
+      << "a 64-event ring must overflow on nqueens-array(8)";
 }
 
 TEST(TraceRuntime, TascellRunTracesDonations) {
@@ -336,7 +339,6 @@ TEST(TraceRuntime, TascellRunTracesDonations) {
   Cfg.Trace = true;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_TRACE_ENABLED
   ASSERT_NE(R.Trace, nullptr);
   std::uint64_t Donations = 0;
   for (int W = 0; W < R.Trace->numWorkers(); ++W) {
@@ -346,7 +348,6 @@ TEST(TraceRuntime, TascellRunTracesDonations) {
         ++Donations;
   }
   EXPECT_EQ(Donations, R.Stats.Steals);
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -354,7 +355,6 @@ TEST(TraceRuntime, TascellRunTracesDonations) {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceSim, EmitsSameSchemaInVirtualTime) {
-#if ATC_TRACE_ENABLED
   SimTree Tree(SimTree::preset("tree3r", 50'000));
   SimOptions Opts;
   Opts.Kind = SchedulerKind::AdaptiveTC;
@@ -391,13 +391,9 @@ TEST(TraceSim, EmitsSameSchemaInVirtualTime) {
   EXPECT_EQ(T.Source, "sim");
   TraceSummary S = summarizeTrace(T);
   EXPECT_EQ(S.Workers.size(), 4u);
-#else
-  GTEST_SKIP() << "tracing compiled out (ATC_TRACE=OFF)";
-#endif
 }
 
 TEST(TraceSim, Deterministic) {
-#if ATC_TRACE_ENABLED
   SimTree Tree(SimTree::preset("tree1l", 20'000));
   SimOptions Opts;
   Opts.Kind = SchedulerKind::Tascell;
@@ -416,9 +412,6 @@ TEST(TraceSim, Deterministic) {
       EXPECT_EQ(TA.at(I).B, TB.at(I).B);
     }
   }
-#else
-  GTEST_SKIP() << "tracing compiled out (ATC_TRACE=OFF)";
-#endif
 }
 
 //===----------------------------------------------------------------------===//

@@ -201,8 +201,8 @@ TEST(TuningRules, ReversalHysteresisPreventsOscillation) {
 }
 
 TEST(TuningRules, GatedAccessorsDefaultWhenUntuned) {
-  // Null controller (or a build with ATC_TUNING=OFF): the live accessors
-  // fold to the configured defaults.
+  // Null controller (an untuned run): the live accessors fold to the
+  // configured defaults.
   EXPECT_EQ(liveCutoff(nullptr, 5), 5);
   EXPECT_EQ(liveMaxStolen(nullptr, 20), 20);
   EXPECT_EQ(liveBackoffShift(nullptr), DefaultBackoffShift);
@@ -227,12 +227,8 @@ TEST(TuningSim, TunedRunIsDeterministicAndLosesNoNodes) {
   EXPECT_EQ(A.TuneAdjustments, B.TuneAdjustments);
   EXPECT_EQ(A.FinalCutoff, B.FinalCutoff);
   EXPECT_EQ(A.FinalMaxStolen, B.FinalMaxStolen);
-#if ATC_TUNING_ENABLED && ATC_METRICS_ENABLED
   EXPECT_GT(A.TuneWindows, 0u) << "controllers never evaluated a window";
   EXPECT_GE(A.FinalCutoff, 1);
-#else
-  EXPECT_EQ(A.TuneWindows, 0u) << "compiled-out tuning must be inert";
-#endif
 }
 
 TEST(TuningSim, UntunedRunIsUnchangedByTheTuningCode) {
@@ -254,7 +250,6 @@ TEST(TuningSim, UntunedRunIsUnchangedByTheTuningCode) {
 }
 
 TEST(TuningSim, TunedRegistryCarriesTuneGauges) {
-#if ATC_TUNING_ENABLED && ATC_METRICS_ENABLED
   SimTree Tree(SimTree::preset("tree3l", 200000));
   CostModel Costs;
   SimOptions Opts;
@@ -276,9 +271,6 @@ TEST(TuningSim, TunedRegistryCarriesTuneGauges) {
   }
   EXPECT_EQ(Windows, R.TuneWindows)
       << "registry gauges disagree with the report";
-#else
-  GTEST_SKIP() << "tuning or metrics compiled out";
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,7 +286,6 @@ TEST(TuningRuntime, TunedRunIsCorrectAndPublishesGauges) {
 
   auto R = runProblem(Prob, NQueensArray::makeRoot(10), Cfg);
   EXPECT_EQ(R.Value, 724);
-#if ATC_TUNING_ENABLED && ATC_METRICS_ENABLED
   ASSERT_NE(R.Metrics, nullptr) << "tuning must arm the metrics registry";
   MetricsSnapshot Snap = R.Metrics->sample();
   for (int I = 0; I < Cfg.NumWorkers; ++I) {
@@ -302,7 +293,6 @@ TEST(TuningRuntime, TunedRunIsCorrectAndPublishesGauges) {
     EXPECT_GE(S.TuneCutoff, 1u)
         << "worker " << I << ": controller never published its knobs";
   }
-#endif
 }
 
 TEST(TuningRuntime, UntunedRunPublishesZeroGauges) {
@@ -314,7 +304,6 @@ TEST(TuningRuntime, UntunedRunPublishesZeroGauges) {
 
   auto R = runProblem(Prob, NQueensArray::makeRoot(9), Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_METRICS_ENABLED
   ASSERT_NE(R.Metrics, nullptr);
   MetricsSnapshot Snap = R.Metrics->sample();
   for (int I = 0; I < Cfg.NumWorkers; ++I) {
@@ -322,7 +311,6 @@ TEST(TuningRuntime, UntunedRunPublishesZeroGauges) {
     EXPECT_EQ(S.TuneCutoff, 0u) << "untuned cells must read all-zero";
     EXPECT_EQ(S.TuneAdjustments, 0u);
   }
-#endif
 }
 
 } // namespace

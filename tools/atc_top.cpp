@@ -44,6 +44,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdarg>
 #include <cstdio>
@@ -544,13 +545,6 @@ int main(int argc, char **argv) {
                  "(http://127.0.0.1:<port>[/path])\n");
     return 2;
   }
-#if !ATC_METRICS_ENABLED
-  if (Demo) {
-    std::fprintf(stderr, "atc_top: built with ATC_METRICS=OFF; --demo "
-                         "would show an empty registry\n");
-    return 1;
-  }
-#endif
 
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
@@ -564,6 +558,10 @@ int main(int argc, char **argv) {
     SchedulerConfig Cfg;
     if (!parseSchedulerKind(Scheduler, Cfg.Kind))
       reportFatalError("unknown scheduler '" + Scheduler + "'");
+    if (Workers < 1 || Workers > INT_MAX)
+      reportFatalError("option --workers expects a value in [1, " +
+                       std::to_string(INT_MAX) + "], got " +
+                       std::to_string(Workers));
     Cfg.NumWorkers = static_cast<int>(Workers);
     Cfg.Metrics = true;
     Cfg.MetricsSink = &Reg;
