@@ -48,7 +48,7 @@ int main(int argc, char **argv) {
   long long TraceCap = 1 << 20;
   OptionSet Opts("Count n-queens solutions, optionally recording a "
                  "scheduler event trace for Perfetto");
-  Opts.addInt("workers", &Workers, "worker threads (default 4)");
+  Opts.addInt("workers", &Workers, "worker threads (default 4)", 1, INT_MAX);
   Opts.addInt("n", &BoardSize, "problem size (default 13 for n-queens; "
                                "0 = the kind's registry default)");
   Opts.addString("problem", &Problem,
@@ -76,7 +76,8 @@ int main(int argc, char **argv) {
                  "(Chrome/Perfetto trace.json)");
   Opts.addInt("trace-cap", &TraceCap,
               "per-worker trace ring capacity in events (default 2^20; "
-              "oldest events are dropped on overflow)");
+              "oldest events are dropped on overflow)",
+              1, INT_MAX);
   MetricsCliOptions MOpt;
   addMetricsOptions(Opts, MOpt);
   Opts.parse(argc, argv);
@@ -90,14 +91,6 @@ int main(int argc, char **argv) {
     reportFatalError("unknown steal policy '" + StealPol + "'");
   if (!parseVictimPolicy(Victim, Cfg.Victim))
     reportFatalError("unknown victim policy '" + Victim + "'");
-  if (Workers < 1 || Workers > INT_MAX)
-    reportFatalError("option --workers expects a value in [1, " +
-                     std::to_string(INT_MAX) + "], got " +
-                     std::to_string(Workers));
-  if (TraceCap < 1 || TraceCap > INT_MAX)
-    reportFatalError("option --trace-cap expects a value in [1, " +
-                     std::to_string(INT_MAX) + "], got " +
-                     std::to_string(TraceCap));
   Cfg.NumWorkers = static_cast<int>(Workers);
   Cfg.Trace = !TracePath.empty();
   Cfg.TraceCap = static_cast<int>(TraceCap);

@@ -24,6 +24,7 @@
 #include "support/Timer.h"
 #include "trace/TraceJson.h"
 
+#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -35,7 +36,7 @@ int main(int argc, char **argv) {
   std::string Deque = "the";
   std::string TracePath;
   OptionSet Opts("Quickstart: n-queens under every scheduler");
-  Opts.addInt("threads", &Threads, "worker threads (default 4)");
+  Opts.addInt("threads", &Threads, "worker threads (default 4)", 1, INT_MAX);
   Opts.addInt("n", &BoardSize, "board size (default 11)");
   std::string StealPol = "one";
   std::string Victim = "affinity";

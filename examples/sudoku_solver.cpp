@@ -23,6 +23,7 @@
 #include "support/Timer.h"
 #include "trace/TraceJson.h"
 
+#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -53,7 +54,7 @@ int main(int argc, char **argv) {
   std::string Victim = "affinity";
   Opts.addString("victim", &Victim,
                  "victim ordering: affinity, random, or partitioned");
-  Opts.addInt("threads", &Threads, "worker threads");
+  Opts.addInt("threads", &Threads, "worker threads (default 4)", 1, INT_MAX);
   std::string TracePath;
   Opts.addString("trace", &TracePath,
                  "record a scheduler event trace to this file "

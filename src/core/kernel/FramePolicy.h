@@ -29,10 +29,17 @@
 ///                 it calls checkBody. Its sync point is a no-op (owner-
 ///                 path invariant: never-stolen frames are fully joined).
 ///  * check     -> checkBody: a fake task (no frame, in-place workspace
-///                 with undo) that polls need_task; when set, it creates a
-///                 special task, pushes it, and runs the child via
-///                 taskBody(Cur = Fast2, depth 0); pop_specialtask /
-///                 sync_specialtask complete the protocol.
+///                 with undo) that polls need_task once per child. The
+///                 per-subtree entry checkBody holds the observability
+///                 sites; the per-node recursion checkBodyImpl is as lean
+///                 as seqBody (one node count, one poll per child, a leaf
+///                 child counted and valued by its caller, Polls derived
+///                 from the node count at flush). At the first true poll
+///                 of a node, the outlined checkBodyCold takes over the
+///                 node's remaining children: it creates a special task,
+///                 pushes it, and runs the child via taskBody(Cur = Fast2,
+///                 depth 0); pop_specialtask / sync_specialtask complete
+///                 the protocol.
 ///  * fast_2    -> taskBody(Cur = Fast2): like fast with twice the
 ///                 cut-off, falling back to seqBody (not checkBody).
 ///  * sequence  -> seqBody: a plain recursive function.
@@ -58,11 +65,11 @@
 ///    by the thief.
 ///  * A special task is never stolen, so it gets no steal-time increment;
 ///    instead the *owner* increments the special's JoinCount at each
-///    popSpecial failure in checkBody (1:1 with steals of the special's
-///    children). Keeping this owner-side avoids the thief dereferencing a
-///    special frame the owner may already have freed — with a lock-free
-///    deque nothing orders the thief's access against the owner's exit
-///    from checkBody.
+///    popSpecial failure in checkBodyCold (1:1 with steals of the
+///    special's children). Keeping this owner-side avoids the thief
+///    dereferencing a special frame the owner may already have freed —
+///    with a lock-free deque nothing orders the thief's access against the
+///    owner's exit from checkBodyCold.
 ///  * The victim's first failed pop deposits the just-returned child value
 ///    into the stolen frame, then the whole spawn chain unwinds (every
 ///    enclosing frame was stolen head-first before this one).
@@ -266,7 +273,7 @@ private:
     F->JoinCount.fetch_add(1, std::memory_order_acq_rel);
     F->Detached = true;
     // Note: the special-parent JoinCount increment happens owner-side, at
-    // the popSpecial() failure in checkBody — NOT here. With the
+    // the popSpecial() failure in checkBodyCold — NOT here. With the
     // lock-free deque this callback runs with no happens-before edge to
     // the owner's pop failure, so touching F->Parent (a frame the owner
     // may already have freed) would be a use-after-free; the owner
@@ -274,29 +281,55 @@ private:
     // does the bookkeeping on its own frame.
   }
 
-  /// Fake-path counters of one check-version subtree: a stack local that
-  /// checkBody threads by reference through the per-node recursion (as
-  /// detail::seqBodyImpl does with its node count), so the hot loop never
-  /// writes the worker's Stats cache line. Flushed into Stats at
-  /// checkBody exit and, in the cold paths, before anything may read
-  /// Stats: the reseed branch's metric publish and tune step, and the
-  /// special-task sync wait.
+  /// Fake-path counters of one check-version subtree, and the worker that
+  /// runs it: a stack local that checkBody threads by reference through
+  /// the per-node recursion (as detail::seqBodyImpl does with its node
+  /// count), so the hot loop never writes the worker's Stats cache line.
+  /// Flushed into Stats at checkBody exit and, in checkBodyCold, before
+  /// anything may read Stats: the reseed branch's metric publish and tune
+  /// step, and the special-task sync wait.
+  ///
+  /// Polls is not counted per child but derived at flush time: every fake
+  /// node except the subtree entry was reached through exactly one false
+  /// poll, and every true poll (a publish) adds one. PollsOverFakes holds
+  /// that difference, starting at -1 for the entry; the entry node is
+  /// counted before any flush, so every flushed Polls delta is exact.
   struct CheckCounts {
+    Worker &W;
     std::uint64_t FakeTasks = 0;
-    std::uint64_t Polls = 0;
+    std::int64_t PollsOverFakes = -1;
 
-    void flushTo(SchedulerStats &Stats) {
-      Stats.FakeTasks += FakeTasks;
-      Stats.Polls += Polls;
-      FakeTasks = Polls = 0;
+    void flush() {
+      W.Stats.FakeTasks += FakeTasks;
+      W.Stats.Polls += FakeTasks + static_cast<std::uint64_t>(PollsOverFakes);
+      FakeTasks = 0;
+      PollsOverFakes = 0;
     }
   };
+
+  /// The check version's edge of Figure 2: one relaxed need_task load
+  /// per child. Through the FSM this folds to that load and one branch.
+  bool pollNeedTask(const Worker &W) const {
+    return Tc.child(CodeVersion::Check, /*Dp=*/0,
+                    W.NeedTask.load(std::memory_order_relaxed))
+        .SpawnTask;
+  }
+
+  /// Runs a check child that stays a fake task: a leaf is counted and
+  /// valued inline, so checkBodyImpl is only ever called on inner nodes.
+  Result fakeChild(State &S, int Depth, CheckCounts &C) {
+    if (Prob.isLeaf(S, Depth)) {
+      ++C.FakeTasks;
+      return Prob.leafResult(S, Depth);
+    }
+    return checkBodyImpl(S, Depth, C);
+  }
 
   /// Figure 2 dispatch with the online tuning layer folded in: a tuned
   /// worker re-reads its controller's live cut-off depth on every child
   /// (TcPol is an int-sized wrapper, so constructing one per dispatch is
   /// free); untuned workers take the shared Tc member untouched. The
-  /// check version's edge ignores the cut-off entirely, so checkBodyImpl
+  /// check version's edge ignores the cut-off entirely, so pollNeedTask
   /// keeps calling Tc directly.
   FsmTransition dispatchChild(const Worker &W, CodeVersion Cur, int Dp,
                               bool NeedTask) const {
@@ -309,7 +342,9 @@ private:
   ExecResult<Result> taskBody(Worker &W, State &S, int Depth, Frame *Parent,
                               int Dp, CodeVersion Cur, bool OwnsState);
   Result checkBody(Worker &W, State &S, int Depth);
-  Result checkBodyImpl(Worker &W, State &S, int Depth, CheckCounts &C);
+  Result checkBodyImpl(State &S, int Depth, CheckCounts &C);
+  ATC_NOINLINE Result checkBodyCold(State &S, int Depth, int K, Result Acc,
+                                    CheckCounts &C);
   Result seqBody(Worker &W, State &S, int Depth);
   void runContinuation(Worker &W, Frame *F);
 
@@ -559,45 +594,68 @@ FramePolicy<P, DequeT, TcPol>::checkBody(Worker &W, State &S, int Depth) {
     W.Trace->emit(TraceEventKind::SpawnFake, 0,
                   static_cast<std::uint16_t>(Depth));
   TraceModeScope TraceSpan(W.Trace, TraceMode::Check);
-  CheckCounts C;
-  Result R = checkBodyImpl(W, S, Depth, C);
-  C.flushTo(W.Stats);
+  CheckCounts C{W};
+  Result R = fakeChild(S, Depth, C);
+  C.flush();
   return R;
 }
 
+/// The hot path of a fake task, shaped like detail::seqBodyImpl.
+/// Precondition: the node is not a leaf (fakeChild tests each child
+/// before the call, so isLeaf runs once per node). Per node it does one
+/// counter increment; per child, applyChoice, the need_task poll, the
+/// recursion and undoChoice. It holds no trace, metric, tune, lock or
+/// allocation site: at the first child whose poll comes back true,
+/// checkBodyCold takes over the rest of the node.
 template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
 typename P::Result
-FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth,
+FramePolicy<P, DequeT, TcPol>::checkBodyImpl(State &S, int Depth,
                                              CheckCounts &C) {
   ++C.FakeTasks;
-  if (Prob.isLeaf(S, Depth))
-    return Prob.leafResult(S, Depth);
-
-  Frame *SF = nullptr; // special task frame, created on demand
-  bool StolenFlag = false;
   Result Acc{};
   const int N = Prob.numChoices(S, Depth);
   for (int K = 0; K < N; ++K) {
     if (!Prob.applyChoice(S, Depth, K))
       continue;
+    if (ATC_UNLIKELY(pollNeedTask(C.W)))
+      return checkBodyCold(S, Depth, K, Acc, C);
+    // No idle thread waiting: stay a fake task (in-place workspace).
+    Acc += fakeChild(S, Depth + 1, C);
+    Prob.undoChoice(S, Depth, K);
+  }
+  return Acc;
+}
 
-    // The check version's edge of Figure 2: one need_task poll per child.
-    ++C.Polls;
-    const FsmTransition T =
-        Tc.child(CodeVersion::Check, /*Dp=*/0,
-                 W.NeedTask.load(std::memory_order_relaxed));
-    if (ATC_LIKELY(!T.SpawnTask)) {
-      // No idle thread waiting: stay a fake task (in-place workspace).
-      Acc += checkBodyImpl(W, S, Depth + 1, C);
-      Prob.undoChoice(S, Depth, K);
-      continue;
+/// The rest of a check node from child \p K on, entered when that child's
+/// need_task poll came back true: \p K is applied, and \p Acc holds the
+/// values of the children before it. Later children poll again and either
+/// stay fake tasks or publish too. Counters here write straight to Stats.
+template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+typename P::Result
+FramePolicy<P, DequeT, TcPol>::checkBodyCold(State &S, int Depth, int K,
+                                             Result Acc, CheckCounts &C) {
+  Worker &W = C.W;
+  Frame *SF = nullptr; // special task frame, created on demand
+  bool StolenFlag = false;
+  const int N = Prob.numChoices(S, Depth);
+  for (bool Polled = true; K < N; ++K, Polled = false) {
+    if (!Polled) {
+      if (!Prob.applyChoice(S, Depth, K))
+        continue;
+      if (!pollNeedTask(W)) {
+        Acc += fakeChild(S, Depth + 1, C);
+        Prob.undoChoice(S, Depth, K);
+        continue;
+      }
     }
+    // A true poll leads to no fake node, so it adds one to Polls.
+    ++C.PollsOverFakes;
 
     // Some thread is starving: create a special task marking the
     // transition point and publish stealable children through fast_2 with
     // the spawn depth reset to 0 (T.ChildDp — the FSM's depth reset).
-    // (This whole branch is cold — counters here write straight to
-    // Stats.)
+    const FsmTransition T =
+        Tc.child(CodeVersion::Check, /*Dp=*/0, /*NeedTask=*/true);
     assert(T.SpecialPush && T.Child == CodeVersion::Fast2 &&
            T.ChildDp == 0 && "check must publish through fast_2");
     if (!SF) {
@@ -630,7 +688,7 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth,
     // fake-task loop ever touching the cell. The subtree's pending fake
     // counts go into Stats first, so the cell and the controller see
     // exact FakeTasks and Polls.
-    C.flushTo(W.Stats);
+    C.flush();
     ATC_METRIC(W.Metrics, recordReseed(nowNanos()));
     ATC_METRIC(W.Metrics, publishStats(W.Stats));
     // Owner-side tune opportunity: the reseed it just recorded is exactly
@@ -673,7 +731,7 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth,
       // kernel's help-first wait steals and runs other tasks meanwhile
       // (see WorkerRuntime::helpWhile). Work run meanwhile may publish
       // Stats, so the pending fake counts go in first.
-      C.flushTo(W.Stats);
+      C.flush();
       std::uint64_t T0 = nowNanos();
       ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialSyncBegin, 0,
                       static_cast<std::uint16_t>(Depth));

@@ -19,6 +19,12 @@ void OptionSet::addInt(const std::string &Name, long long *Storage,
   Options.push_back({Name, OptionKind::Int, Storage, Help});
 }
 
+void OptionSet::addInt(const std::string &Name, long long *Storage,
+                       const std::string &Help, long long Min,
+                       long long Max) {
+  Options.push_back({Name, OptionKind::Int, Storage, Help, Min, Max});
+}
+
 void OptionSet::addDouble(const std::string &Name, double *Storage,
                           const std::string &Help) {
   Options.push_back({Name, OptionKind::Double, Storage, Help});
@@ -49,6 +55,10 @@ void OptionSet::setValue(const Option &Opt, const std::string &Value) {
     if (End == Value.c_str() || *End != '\0')
       reportFatalError("option --" + Opt.Name + " expects an integer, got '" +
                        Value + "'");
+    if (V < Opt.Min || V > Opt.Max)
+      reportFatalError("option --" + Opt.Name + " expects a value in [" +
+                       std::to_string(Opt.Min) + ", " +
+                       std::to_string(Opt.Max) + "], got " + Value);
     *static_cast<long long *>(Opt.Storage) = V;
     return;
   }

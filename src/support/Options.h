@@ -15,6 +15,7 @@
 #ifndef ATC_SUPPORT_OPTIONS_H
 #define ATC_SUPPORT_OPTIONS_H
 
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,12 @@ public:
   /// Registers an integer-valued option "--name=N".
   void addInt(const std::string &Name, long long *Storage,
               const std::string &Help);
+
+  /// Registers an integer-valued option "--name=N" that parse() rejects,
+  /// with a fatal error, outside [Min, Max]. Worker and thread counts use
+  /// it, so a bad count never reaches a runtime that would start threads.
+  void addInt(const std::string &Name, long long *Storage,
+              const std::string &Help, long long Min, long long Max);
 
   /// Registers a double-valued option "--name=X".
   void addDouble(const std::string &Name, double *Storage,
@@ -60,6 +67,8 @@ private:
     OptionKind Kind;
     void *Storage;
     std::string Help;
+    long long Min = LLONG_MIN; ///< Int only: the accepted range.
+    long long Max = LLONG_MAX;
   };
 
   const Option *find(const std::string &Name) const;

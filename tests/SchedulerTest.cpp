@@ -20,6 +20,7 @@
 #include "problems/Pentomino.h"
 #include "problems/Strimko.h"
 #include "problems/Sudoku.h"
+#include "sim/SyntheticTreeProblem.h"
 
 #include <gtest/gtest.h>
 
@@ -419,6 +420,127 @@ TEST(SchedulerBehaviour, SpecialTasksFireWithChaseLevDeque) {
   }
   EXPECT_GT(Specials, 0u)
       << "special-task path never fired on the Chase-Lev deque";
+}
+
+/// Root children that applyChoice accepts: at one worker (cut-off 0)
+/// each one is the entry of a check-version subtree.
+template <SearchProblem P>
+std::uint64_t rootEntries(P &Prob, typename P::State S) {
+  std::uint64_t Entries = 0;
+  for (int K = 0, N = Prob.numChoices(S, 0); K < N; ++K)
+    if (Prob.applyChoice(S, 0, K)) {
+      ++Entries;
+      Prob.undoChoice(S, 0, K);
+    }
+  return Entries;
+}
+
+/// One-worker AdaptiveTC: the root is the only real task and every other
+/// node is a fake task. Nobody steals, so every poll reads false, and
+/// each fake node but a subtree entry was reached through exactly one of
+/// them: Polls == FakeTasks - entries. The check version derives Polls
+/// from that identity instead of counting it, so pin both exactly.
+template <SearchProblem P>
+void expectExactFakeCounts(P &Prob, const typename P::State &Root,
+                           std::uint64_t WantFakes, std::uint64_t WantPolls,
+                           const char *What) {
+  const std::uint64_t Entries = rootEntries(Prob, Root);
+  typename P::State Copy = Root;
+  const typename P::Result Want = runSequential(Prob, Copy);
+  for (DequeKind DQ : {DequeKind::The, DequeKind::ChaseLev}) {
+    SchedulerConfig Cfg;
+    Cfg.Kind = SchedulerKind::AdaptiveTC;
+    Cfg.NumWorkers = 1;
+    Cfg.Deque = DQ;
+    auto R = runProblem(Prob, Root, Cfg);
+    const std::string Where = std::string(What) + "/" + dequeKindName(DQ);
+    EXPECT_EQ(R.Value, Want) << Where;
+    EXPECT_EQ(R.Stats.TasksCreated, 1u) << Where;
+    EXPECT_EQ(R.Stats.SpecialTasks, 0u) << Where;
+    EXPECT_EQ(R.Stats.FakeTasks, WantFakes) << Where;
+    EXPECT_EQ(R.Stats.Polls, WantPolls) << Where;
+    EXPECT_EQ(R.Stats.Polls, R.Stats.FakeTasks - Entries) << Where;
+  }
+}
+
+TEST(SchedulerBehaviour, OneWorkerFakeAndPollCountsAreExact) {
+  // fib(20) has 2 * fib(21) - 1 = 21891 nodes and two root children.
+  FibProblem Fib;
+  expectExactFakeCounts(Fib, FibProblem::makeRoot(20), 21890, 21888,
+                        "fib(20)");
+
+  NQueensArray NQ;
+  TreeProfile NQProfile;
+  {
+    auto S = NQueensArray::makeRoot(8);
+    profileTree(NQ, S, NQProfile);
+  }
+  const auto NQNodes = static_cast<std::uint64_t>(NQProfile.Nodes);
+  ASSERT_EQ(rootEntries(NQ, NQueensArray::makeRoot(8)), 8u);
+  expectExactFakeCounts(NQ, NQueensArray::makeRoot(8), NQNodes - 1,
+                        NQNodes - 1 - 8, "nqueens-array(8)");
+
+  SyntheticTreeProblem Tree(SimTree::preset("tree3l", 20'000));
+  TreeProfile TreeProf;
+  {
+    auto S = Tree.makeRoot();
+    profileTree(Tree, S, TreeProf);
+  }
+  const auto TreeNodes = static_cast<std::uint64_t>(TreeProf.Nodes);
+  const std::uint64_t TreeEntries = rootEntries(Tree, Tree.makeRoot());
+  ASSERT_GT(TreeEntries, 0u);
+  expectExactFakeCounts(Tree, Tree.makeRoot(), TreeNodes - 1,
+                        TreeNodes - 1 - TreeEntries, "tree3l");
+}
+
+TEST(SchedulerBehaviour, CheckColdPathPublishesAndOverflowsExactly) {
+  // The check version leaves its lean recursion for the outlined cold
+  // path at a true need_task poll. There the special task's push either
+  // publishes (the trace shows need-task-observe, then special-push) or
+  // overflows a full deque and degrades to a plain call (observe, then
+  // the switch to sequence mode). Cut-off 2 at four workers puts two
+  // fast frames above a check subtree on the root's spawn chain, which
+  // fills a two-slot THE deque, so its special push overflows; under a
+  // thief's stolen depth-1 continuation only one frame sits above, so the
+  // push publishes. With max_stolen_num = 0 one failed steal arms
+  // need_task. Both branches must show up, and every run must match the
+  // oracle. Scheduling is nondeterministic, so retry seeds.
+  NQueensArray Prob;
+  auto Root = NQueensArray::makeRoot(10);
+  const long long Want = runSequential(Prob, Root);
+  SchedulerConfig Cfg;
+  Cfg.Kind = SchedulerKind::AdaptiveTC;
+  Cfg.Deque = DequeKind::The;
+  Cfg.DequeCapacity = 2;
+  Cfg.NumWorkers = 4;
+  Cfg.MaxStolenNum = 0;
+  Cfg.Trace = true;
+  Cfg.TraceCap = 1 << 16;
+  std::uint64_t Specials = 0, Published = 0, Overflowed = 0;
+  for (int Attempt = 0; Attempt < 40 && (Published == 0 || Overflowed == 0);
+       ++Attempt) {
+    Cfg.Seed = 577 + static_cast<std::uint64_t>(Attempt);
+    auto R = runProblem(Prob, NQueensArray::makeRoot(10), Cfg);
+    ASSERT_EQ(R.Value, Want) << "attempt " << Attempt;
+    ASSERT_NE(R.Trace, nullptr);
+    Specials += R.Stats.SpecialTasks;
+    for (int W = 0; W < R.Trace->numWorkers(); ++W) {
+      const TraceBuffer &TB = R.Trace->buffer(W);
+      for (std::size_t I = 0; I + 1 < TB.size(); ++I) {
+        if (TB.at(I).kind() != TraceEventKind::NeedTaskObserve)
+          continue;
+        const TraceEvent &Next = TB.at(I + 1);
+        if (Next.kind() == TraceEventKind::SpecialPush)
+          ++Published;
+        else if (Next.kind() == TraceEventKind::ModeBegin &&
+                 Next.A == static_cast<std::uint32_t>(TraceMode::Sequence))
+          ++Overflowed;
+      }
+    }
+  }
+  EXPECT_GT(Specials, 0u);
+  EXPECT_GT(Published, 0u) << "no special task was ever published";
+  EXPECT_GT(Overflowed, 0u) << "no special-task push ever overflowed";
 }
 
 TEST(SchedulerBehaviour, StealHalfBatchesAndStaysExact) {

@@ -29,6 +29,7 @@
 #include "support/Prng.h"
 #include "trace/Json.h"
 
+#include <climits>
 #include <cstdio>
 #include <deque>
 #include <map>
@@ -176,11 +177,12 @@ int main(int argc, char **argv) {
   Opts.addInt("tenants", &Tenants,
               "spread jobs across this many tenants (default 4)");
   Opts.addInt("workers", &Workers,
-              "workers per job; 0 = server pool width (default 0)");
+              "workers per job; 0 = server pool width (default 0)", 0,
+              INT_MAX);
   Opts.addInt("deadline-ms", &DeadlineMs,
               "per-job queue deadline; 0 = none (default 0)");
   Opts.addInt("collectors", &Collectors,
-              "result-collector threads (default 8)");
+              "result-collector threads (default 8)", 1, INT_MAX);
   Opts.addString("scheduler", &Scheduler,
                  "scheduler kind for every job (default adaptivetc)");
   Opts.addString("deque", &Deque, "deque kind (default chaselev)");

@@ -22,6 +22,7 @@
 #include "support/Options.h"
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 
@@ -46,11 +47,11 @@ int main(int argc, char **argv) {
   long long DepthWatermark = 0;
   OptionSet Opts("Scheduler-as-a-service daemon (see docs/SERVING.md)");
   Opts.addInt("threads", &Threads,
-              "persistent worker-pool width (default 4)");
+              "persistent worker-pool width (default 4)", 1, INT_MAX);
   Opts.addInt("port", &Port,
               "loopback HTTP port; 0 picks an ephemeral one (default 9900)");
   Opts.addInt("http-threads", &HttpThreads,
-              "HTTP serving threads (default 8)");
+              "HTTP serving threads (default 8)", 1, INT_MAX);
   Opts.addInt("max-queued", &MaxQueued,
               "hard admission cap: jobs queued beyond this are shed "
               "(default 256)");

@@ -508,7 +508,8 @@ int main(int argc, char **argv) {
   Opts.addFlag("demo", &Demo,
                "run a registry problem in-process in a loop and poll its "
                "registry directly (no file needed)");
-  Opts.addInt("workers", &Workers, "worker threads for --demo (default 4)");
+  Opts.addInt("workers", &Workers, "worker threads for --demo (default 4)",
+              1, INT_MAX);
   Opts.addString("problem", &Problem,
                  "registry problem for --demo (default nqueens-array)");
   Opts.addInt("n", &ProblemSize,
@@ -558,10 +559,6 @@ int main(int argc, char **argv) {
     SchedulerConfig Cfg;
     if (!parseSchedulerKind(Scheduler, Cfg.Kind))
       reportFatalError("unknown scheduler '" + Scheduler + "'");
-    if (Workers < 1 || Workers > INT_MAX)
-      reportFatalError("option --workers expects a value in [1, " +
-                       std::to_string(INT_MAX) + "], got " +
-                       std::to_string(Workers));
     Cfg.NumWorkers = static_cast<int>(Workers);
     Cfg.Metrics = true;
     Cfg.MetricsSink = &Reg;
